@@ -247,45 +247,43 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "er_cli: %s needs a value\n", flag);
-        return std::nullopt;
-      }
+    auto next = [&]() -> std::optional<std::string> {
+      if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    auto missing = [&] { return UsageFail(arg + " needs a value"); };
     if (arg == "--threshold") {
-      auto v = next("--threshold");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       if (!ParseDouble(*v, &threshold)) {
         return UsageFail("bad --threshold " + *v);
       }
     } else if (arg == "--blocker") {
-      auto v = next("--blocker");
-      if (!v) return 1;
+      auto v = next();
+      if (!v) return missing();
       blocker_name = *v;
     } else if (arg == "--truth") {
-      auto v = next("--truth");
-      if (!v) return 1;
+      auto v = next();
+      if (!v) return missing();
       truth_path = *v;
     } else if (arg == "--out") {
-      auto v = next("--out");
-      if (!v) return 1;
+      auto v = next();
+      if (!v) return missing();
       out_path = *v;
     } else if (arg == "--budget") {
-      auto v = next("--budget");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       if (!ParseUnsigned(*v, &budget)) return UsageFail("bad --budget " + *v);
     } else if (arg == "--threads") {
-      auto v = next("--threads");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       if (!ParseThreads(*v, &threads)) return UsageFail("bad --threads " + *v);
     } else if (arg.rfind("--threads=", 0) == 0) {
       std::string v = arg.substr(std::strlen("--threads="));
       if (!ParseThreads(v, &threads)) return UsageFail("bad --threads " + v);
     } else if (arg == "--kernel") {
-      auto v = next("--kernel");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       std::string error;
       if (!ApplyKernelChoice(*v, &error)) return UsageFail(error);
       kernel_flag = true;
@@ -303,8 +301,8 @@ int main(int argc, char** argv) {
         return UsageFail("bad --stream batch size " + v);
       }
     } else if (arg == "--shards") {
-      auto v = next("--shards");
-      if (!v) return UsageFail("--shards needs a value");
+      auto v = next();
+      if (!v) return missing();
       if (!ParseUnsigned(*v, &shards) || shards == 0 ||
           shards > serve::ShardedResolver::kMaxShards) {
         return UsageFail("bad --shards " + *v + " (want 1..64)");
@@ -318,15 +316,15 @@ int main(int argc, char** argv) {
       }
       shards_flag = true;
     } else if (arg == "--data-dir") {
-      auto v = next("--data-dir");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       data_dir = *v;
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       data_dir = arg.substr(std::strlen("--data-dir="));
       if (data_dir.empty()) return UsageFail("bad --data-dir value");
     } else if (arg == "--snapshot-every") {
-      auto v = next("--snapshot-every");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       if (!ParseUnsigned(*v, &snapshot_every)) {
         return UsageFail("bad --snapshot-every " + *v);
       }
@@ -338,8 +336,8 @@ int main(int argc, char** argv) {
       }
       snapshot_every_flag = true;
     } else if (arg == "--fsync") {
-      auto v = next("--fsync");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       if (!ParseFsync(*v, &fsync)) return UsageFail("bad --fsync " + *v);
       fsync_flag = true;
     } else if (arg.rfind("--fsync=", 0) == 0) {
@@ -347,21 +345,21 @@ int main(int argc, char** argv) {
       if (!ParseFsync(v, &fsync)) return UsageFail("bad --fsync " + v);
       fsync_flag = true;
     } else if (arg == "--metrics-json") {
-      auto v = next("--metrics-json");
-      if (!v) return 1;
+      auto v = next();
+      if (!v) return missing();
       metrics_path = *v;
     } else if (arg.rfind("--metrics-json=", 0) == 0) {
       metrics_path = arg.substr(std::strlen("--metrics-json="));
     } else if (arg == "--trace-json") {
-      auto v = next("--trace-json");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       trace_path = *v;
     } else if (arg.rfind("--trace-json=", 0) == 0) {
       trace_path = arg.substr(std::strlen("--trace-json="));
       if (trace_path.empty()) return UsageFail("bad --trace-json value");
     } else if (arg == "--telemetry-jsonl") {
-      auto v = next("--telemetry-jsonl");
-      if (!v) return 2;
+      auto v = next();
+      if (!v) return missing();
       if (!ParseTelemetrySpec(*v, &telemetry_path, &telemetry_interval_ms)) {
         return UsageFail("bad --telemetry-jsonl " + *v +
                          " (want PATH[,INTERVAL_MS])");
@@ -375,14 +373,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--meta") {
-      auto w = next("--meta");
-      if (!w) return 1;
-      auto p = next("--meta");
-      if (!p) return 1;
+      auto w = next();
+      if (!w) return missing();
+      auto p = next();
+      if (!p) return missing();
       auto weight = metablocking::ParseWeightScheme(*w);
       auto pruning = ParsePruning(*p);
       if (!weight || !pruning) {
-        return Fail("unknown meta-blocking scheme " + *w + " " + *p);
+        return UsageFail("unknown meta-blocking scheme " + *w + " " + *p);
       }
       meta = {{*weight, *pruning}};
     } else if (!arg.empty() && arg[0] != '-') {
@@ -449,7 +447,7 @@ int main(int argc, char** argv) {
   if (collection.empty()) return Fail("no descriptions parsed");
 
   std::unique_ptr<blocking::Blocker> blocker = MakeBlocker(blocker_name);
-  if (blocker == nullptr) return Fail("unknown blocker " + blocker_name);
+  if (blocker == nullptr) return UsageFail("unknown blocker " + blocker_name);
 
   matching::TokenJaccardMatcher matcher;
   obs::MetricsRegistry registry;

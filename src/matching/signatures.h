@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "matching/matcher.h"
@@ -186,9 +187,6 @@ class SignatureStore {
     return {tokens_.data() + slot.token_offset, slot.token_count};
   }
 
-  /// Index of `attribute` in options().attributes, or npos.
-  size_t AttributeIndex(std::string_view attribute) const;
-
   const SignatureOptions& options() const { return options_; }
   size_t size() const { return entries_.size(); }
   size_t vocabulary_size() const {
@@ -197,8 +195,9 @@ class SignatureStore {
   }
 
   /// The collection Build() interned (slot == EntityId for its ids), or
-  /// null for stores grown purely via Absorb. PreparedOracle needs it to
-  /// precompute the URI-canonical ids the string path resolves per pair.
+  /// null for stores grown purely via Absorb. Prepare binds an
+  /// OracleMatcher only to the store of its own collection, whose slots
+  /// its precomputed URI-canonical ids index.
   const model::EntityCollection* collection() const { return collection_; }
 
   /// Approximate resident arena footprint, for the
@@ -278,31 +277,9 @@ class SignatureStore {
   DescriptionProvider provider_;
 };
 
-/// A pairwise similarity over interned signatures: the prepared twin of a
-/// Matcher. Similarity(a, b) is bit-equal to the twin's string-path
-/// Similarity on the descriptions behind a and b; Matches(a, b, t) is the
-/// same verdict as Similarity(a, b) >= t but may prove it cheaper (length
-/// and required-overlap filters). Ids without a signature fall back to the
-/// string twin via the store's description provider.
-class PreparedMatcher {
- public:
-  virtual ~PreparedMatcher() = default;
-
-  virtual double Similarity(model::EntityId a, model::EntityId b) const = 0;
-
-  /// Decision with early-exit; identical verdict to
-  /// Similarity(a, b) >= threshold for every input.
-  virtual bool Matches(model::EntityId a, model::EntityId b,
-                       double threshold) const {
-    return Similarity(a, b) >= threshold;
-  }
-
-  virtual std::string name() const = 0;
-};
-
-/// Instrumentation handles shared by the prepared matchers; bound to the
-/// ambient registry once at Prepare() time (hot paths must not take the
-/// registry lock per pair). Null pointers = detached.
+/// Instrumentation handles shared by the scorers; bound to the ambient
+/// registry once at Prepare()/PrepareCross() time (hot paths must not take
+/// the registry lock per pair). Null pointers = detached.
 struct PreparedCounters {
   obs::Counter* comparisons = nullptr;
   obs::Counter* filter_hits = nullptr;
@@ -310,6 +287,60 @@ struct PreparedCounters {
 
   /// Binds to obs::Current(), or leaves everything null when detached.
   static PreparedCounters Ambient();
+};
+
+/// A pairwise similarity over interned signatures: the prepared twin of a
+/// Matcher, one scorer class per matcher type. Each side of a pair is a
+/// (store, id): PreparedMatcher passes its one store twice, the sharded
+/// resolver passes the store of each id's entity shard. PostingView and
+/// the TF-IDF/attribute spans are self-contained, so the arithmetic does
+/// not care whether the stores differ.
+///
+/// Similarity is bit-equal to the twin's string-path Similarity on the
+/// descriptions behind a and b; Matches(..., t) is the same verdict as
+/// Similarity(...) >= t but may prove it cheaper (length and
+/// required-overlap filters). Ids without a signature fall back to the
+/// string twin via each store's description provider. Both stores must be
+/// built with the SignatureOptions the scorer was prepared against and
+/// share one logical vocabulary.
+class CrossStoreMatcher {
+ public:
+  virtual ~CrossStoreMatcher() = default;
+
+  virtual double Similarity(const SignatureStore& sa, model::EntityId a,
+                            const SignatureStore& sb,
+                            model::EntityId b) const = 0;
+
+  /// Decision with early-exit; identical verdict to
+  /// Similarity(...) >= threshold for every input.
+  virtual bool Matches(const SignatureStore& sa, model::EntityId a,
+                       const SignatureStore& sb, model::EntityId b,
+                       double threshold) const {
+    return Similarity(sa, a, sb, b) >= threshold;
+  }
+};
+
+/// The single-store adapter: a scorer bound to the one store both ids of
+/// every pair live in. Each call is exactly one virtual call into the
+/// scorer, with the store passed for both sides.
+class PreparedMatcher {
+ public:
+  PreparedMatcher(const SignatureStore& store,
+                  std::unique_ptr<CrossStoreMatcher> scorer)
+      : store_(store), scorer_(std::move(scorer)) {}
+
+  double Similarity(model::EntityId a, model::EntityId b) const {
+    return scorer_->Similarity(store_, a, store_, b);
+  }
+
+  /// Same verdict as Similarity(a, b) >= threshold, possibly cheaper.
+  bool Matches(model::EntityId a, model::EntityId b, double threshold) const {
+    return scorer_->Matches(store_, a, store_, b, threshold);
+  }
+
+ private:
+  const SignatureStore& store_;
+  std::unique_ptr<CrossStoreMatcher> scorer_;
 };
 
 /// The SignatureOptions a store must be built with for Prepare(matcher)
@@ -322,44 +353,21 @@ SignatureOptions OptionsFor(const Matcher& matcher);
 /// matcher types the engine does not know.
 bool Preparable(const Matcher& matcher);
 
-/// Builds the prepared twin of `matcher` over `store`, or null when the
+/// Builds the scorer of `matcher` bound to `store`, or null when the
 /// matcher type is unknown or the store lacks what it needs (the caller
 /// then stays on the string path). Composite components that cannot be
-/// prepared individually are wrapped to score via the string path.
+/// prepared individually are bridged through the string path. An
+/// OracleMatcher, on its own or inside a Composite, binds its canonical-id
+/// table to `store` when the store interned the oracle's collection.
 std::unique_ptr<PreparedMatcher> Prepare(const Matcher& matcher,
                                          const SignatureStore& store);
 
-/// A prepared similarity over signatures that live in *different* stores
-/// (the sharded resolver keeps one SignatureStore per entity shard).
-/// PostingView and the TF-IDF/attribute spans are self-contained, so the
-/// arithmetic is the same as the single-store PreparedMatcher twins —
-/// Similarity and Matches are bit-equal to the string path for the same
-/// inputs. Both stores must be built with the SignatureOptions the
-/// matcher was cross-prepared against and share one logical vocabulary.
-class CrossStoreMatcher {
- public:
-  virtual ~CrossStoreMatcher() = default;
-
-  virtual double Similarity(const SignatureStore& sa, model::EntityId a,
-                            const SignatureStore& sb,
-                            model::EntityId b) const = 0;
-
-  /// Same verdict as Similarity(...) >= threshold, possibly cheaper.
-  virtual bool Matches(const SignatureStore& sa, model::EntityId a,
-                       const SignatureStore& sb, model::EntityId b,
-                       double threshold) const {
-    return Similarity(sa, a, sb, b) >= threshold;
-  }
-
-  virtual std::string name() const = 0;
-};
-
-/// Builds the cross-store twin of `matcher` for stores configured with
-/// `options` (normally OptionsFor(matcher)), or null when the matcher
-/// cannot score across stores (unknown types; OracleMatcher, whose
-/// canonical-id table is bound to one collection; TfIdfCosine against a
-/// different model). Composite components that cannot be cross-prepared
-/// are bridged through the string path, mirroring Prepare().
+/// Builds the scorer of `matcher` for any pair of stores configured with
+/// `options` (normally OptionsFor(matcher)) — the same factory as
+/// Prepare, with no store to bind to. Null when the matcher cannot score
+/// across stores: unknown types, an OracleMatcher (its canonical-id table
+/// is bound to one collection; inside a Composite it is bridged through
+/// the string path instead), or TfIdfCosine against a different model.
 std::unique_ptr<CrossStoreMatcher> PrepareCross(
     const Matcher& matcher, const SignatureOptions& options);
 

@@ -1,13 +1,15 @@
 // Property tests for the signature-based comparison engine: every
-// prepared matcher must be bit-equal to its string twin over random
-// corpora and thread counts, the shared intersection kernels must agree
-// with a naive reference, and the algorithms that default to signatures
-// (pipeline, Swoosh, iterative blocking, incremental) must produce
-// identical results with the engine on and off.
+// prepared scorer must be bit-equal to its string twin over random
+// corpora and thread counts, on one store and with each pair split across
+// two, its counters must stay pinned, the shared intersection kernels
+// must agree with a naive reference, and the algorithms that default to
+// signatures (pipeline, Swoosh, iterative blocking, incremental) must
+// produce identical results with the engine on and off.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -25,6 +27,7 @@
 #include "matching/matcher.h"
 #include "matching/signatures.h"
 #include "model/entity.h"
+#include "obs/metrics.h"
 #include "tests/test_corpus.h"
 #include "util/intersect.h"
 #include "util/random.h"
@@ -98,28 +101,108 @@ TEST(IntersectKernelTest, AtLeastMatchesThresholdedSize) {
 // Prepared matchers bit-equal to their string twins
 // ---------------------------------------------------------------------------
 
-// Exhaustively compares `prepared` against `matcher` over every pair of
-// the collection: exact (bitwise) similarity equality plus verdict
+// Exhaustively compares a prepared scorer against `matcher` over every
+// pair of the collection: exact (bitwise) similarity equality plus verdict
 // equality at a spread of thresholds, including the engine's early-exit
-// filters' edge values.
-void ExpectBitEqual(const model::EntityCollection& collection,
-                    const Matcher& matcher, const PreparedMatcher& prepared) {
+// filters' edge values. `similarity(a, b)` and `matches(a, b, t)` score
+// collection ids through the scorer under test.
+template <typename Similarity, typename Matches>
+void ExpectBitEqualPairs(const model::EntityCollection& collection,
+                         const Matcher& matcher, const Similarity& similarity,
+                         const Matches& matches) {
   const double thresholds[] = {0.0, 0.25, 0.5,
                                0.75, 1.0, std::nextafter(1.0, 2.0),
                                std::numeric_limits<double>::quiet_NaN()};
   for (model::EntityId a = 0; a < collection.size(); ++a) {
     for (model::EntityId b = a; b < collection.size(); ++b) {
       double expected = matcher.Similarity(collection[a], collection[b]);
-      double got = prepared.Similarity(a, b);
+      double got = similarity(a, b);
       ASSERT_EQ(expected, got)
           << matcher.name() << " pair (" << a << "," << b << ")";
       for (double t : thresholds) {
-        ASSERT_EQ(expected >= t, prepared.Matches(a, b, t))
+        ASSERT_EQ(expected >= t, matches(a, b, t))
             << matcher.name() << " pair (" << a << "," << b
             << ") threshold " << t;
       }
     }
   }
+}
+
+void ExpectBitEqual(const model::EntityCollection& collection,
+                    const Matcher& matcher, const PreparedMatcher& prepared) {
+  ExpectBitEqualPairs(
+      collection, matcher,
+      [&](model::EntityId a, model::EntityId b) {
+        return prepared.Similarity(a, b);
+      },
+      [&](model::EntityId a, model::EntityId b, double t) {
+        return prepared.Matches(a, b, t);
+      });
+}
+
+// A matcher type the signature engine does not know: composites must
+// bridge it through the string path.
+class UnpreparedMatcher : public Matcher {
+ public:
+  double Similarity(const model::EntityDescription& a,
+                    const model::EntityDescription& b) const override {
+    return inner_.Similarity(a, b);
+  }
+  std::string name() const override { return "unprepared-overlap"; }
+
+ private:
+  TokenOverlapMatcher inner_;
+};
+
+// Every matcher shape the engine prepares, over one collection: each
+// matcher type, each composite combine, a composite bridging an
+// unpreparable component, and a composite with an oracle component.
+struct MatcherZoo {
+  MatcherZoo(const model::EntityCollection& collection,
+             const model::GroundTruth& truth)
+      : tfidf(collection),
+        oracle(collection, truth, /*error_rate=*/0.1, /*seed=*/5) {}
+  MatcherZoo(const MatcherZoo&) = delete;
+  MatcherZoo& operator=(const MatcherZoo&) = delete;
+
+  std::vector<const Matcher*> All() const {
+    return {&jaccard, &overlap, &tfidf,   &weighted, &average,
+            &maximum, &minimum, &bridged, &oracle_max, &oracle};
+  }
+
+  TokenJaccardMatcher jaccard;
+  TokenOverlapMatcher overlap;
+  TfIdfCosineMatcher tfidf;
+  WeightedAttributeMatcher weighted{{{"attr0", 2.0, true},
+                                     {"attr1", 1.0, false},
+                                     {"no_such_attribute", 0.5, true}}};
+  CompositeMatcher average{{&jaccard, &weighted},
+                           {0.7, 0.3},
+                           CompositeMatcher::Combine::kWeightedAverage};
+  CompositeMatcher maximum{
+      {&jaccard, &overlap}, {}, CompositeMatcher::Combine::kMax};
+  CompositeMatcher minimum{
+      {&jaccard, &overlap}, {}, CompositeMatcher::Combine::kMin};
+  UnpreparedMatcher unprepared;
+  CompositeMatcher bridged{{&unprepared, &jaccard},
+                           {0.4, 0.6},
+                           CompositeMatcher::Combine::kWeightedAverage};
+  OracleMatcher oracle;
+  CompositeMatcher oracle_max{
+      {&jaccard, &oracle}, {}, CompositeMatcher::Combine::kMax};
+};
+
+// Every reachable dispatch level must reproduce the string path
+// bit-for-bit: the SIMD kernels count exactly, so switching them can
+// never move a similarity or flip a verdict.
+std::vector<util::IntersectKernel> ReachableKernels() {
+  std::vector<util::IntersectKernel> kernels = {util::IntersectKernel::kScalar};
+  for (util::IntersectKernel kernel :
+       {util::IntersectKernel::kSse4, util::IntersectKernel::kAvx2}) {
+    if (util::SetIntersectKernel(kernel)) kernels.push_back(kernel);
+  }
+  util::ResetIntersectKernel();
+  return kernels;
 }
 
 // Runs the bit-equality check for every prepared matcher type over one
@@ -128,34 +211,9 @@ void ExpectBitEqual(const model::EntityCollection& collection,
 void CheckAllMatchers(const model::EntityCollection& collection,
                       const model::GroundTruth& truth, size_t threads) {
   core::ScopedParallelism parallelism(threads);
-
-  TokenJaccardMatcher jaccard;
-  TokenOverlapMatcher overlap;
-  TfIdfCosineMatcher tfidf(collection);
-  WeightedAttributeMatcher weighted({{"attr0", 2.0, true},
-                                     {"attr1", 1.0, false},
-                                     {"no_such_attribute", 0.5, true}});
-  CompositeMatcher average({&jaccard, &weighted}, {0.7, 0.3},
-                           CompositeMatcher::Combine::kWeightedAverage);
-  CompositeMatcher maximum({&jaccard, &overlap}, {},
-                           CompositeMatcher::Combine::kMax);
-  CompositeMatcher minimum({&jaccard, &overlap}, {},
-                           CompositeMatcher::Combine::kMin);
-  OracleMatcher oracle(collection, truth, /*error_rate=*/0.1, /*seed=*/5);
-
-  // Every reachable dispatch level must reproduce the string path
-  // bit-for-bit: the SIMD kernels count exactly, so switching them can
-  // never move a similarity or flip a verdict.
-  std::vector<util::IntersectKernel> kernels = {util::IntersectKernel::kScalar};
-  for (util::IntersectKernel kernel :
-       {util::IntersectKernel::kSse4, util::IntersectKernel::kAvx2}) {
-    if (util::SetIntersectKernel(kernel)) kernels.push_back(kernel);
-  }
-  util::ResetIntersectKernel();
-
-  const Matcher* matchers[] = {&jaccard, &overlap, &tfidf,   &weighted,
-                               &average, &maximum, &minimum, &oracle};
-  for (const Matcher* matcher : matchers) {
+  MatcherZoo zoo(collection, truth);
+  std::vector<util::IntersectKernel> kernels = ReachableKernels();
+  for (const Matcher* matcher : zoo.All()) {
     ASSERT_TRUE(Preparable(*matcher)) << matcher->name();
     SignatureStore store =
         SignatureStore::Build(collection, OptionsFor(*matcher));
@@ -164,6 +222,83 @@ void CheckAllMatchers(const model::EntityCollection& collection,
     for (util::IntersectKernel kernel : kernels) {
       ASSERT_TRUE(util::SetIntersectKernel(kernel));
       ExpectBitEqual(collection, *matcher, *prepared);
+    }
+    util::ResetIntersectKernel();
+  }
+}
+
+// A collection split across two SignatureStores that share one
+// vocabulary, the way the sharded resolver lays out entity shards:
+// collection id i lives in store i % 2 at row i / 2. Signatures are
+// copied out of one reference Build and absorbed verbatim; the last id is
+// left without a signature so its pairs take the string fallback.
+struct SplitStores {
+  SplitStores(const model::EntityCollection& collection,
+              const SignatureOptions& options)
+      : stores{SignatureStore(options), SignatureStore(options)} {
+    SignatureStore reference = SignatureStore::Build(collection, options);
+    for (model::EntityId id = 0; id + 1 < collection.size(); ++id) {
+      InternedSignature signature;
+      signature.token_ids = reference.TokenSet(id);
+      if (reference.has_tfidf(id)) {
+        for (const TfIdfTerm& term : reference.tfidf(id)) {
+          signature.tfidf.entries.emplace_back(term.token, term.weight);
+        }
+      }
+      if (reference.has_attributes(id)) {
+        for (const SignatureStore::AttributeSlot& slot :
+             reference.attribute_slots(id)) {
+          InternedSignature::Attribute& attr =
+              signature.attributes.emplace_back();
+          if (slot.value_index == SignatureStore::kNoValue) continue;
+          attr.present = true;
+          attr.value = reference.value(slot.value_index);
+          auto tokens = reference.slot_tokens(slot);
+          attr.token_ids.assign(tokens.begin(), tokens.end());
+        }
+      }
+      stores[id % 2].AbsorbPrepared(id / 2, std::move(signature));
+    }
+    for (size_t k = 0; k < 2; ++k) {
+      stores[k].SetDescriptionProvider(
+          [&collection, k](model::EntityId row)
+              -> const model::EntityDescription* {
+            size_t id = size_t{row} * 2 + k;
+            return id < collection.size() ? &collection[id] : nullptr;
+          });
+    }
+  }
+
+  const SignatureStore& store(model::EntityId id) const {
+    return stores[id % 2];
+  }
+  static model::EntityId row(model::EntityId id) { return id / 2; }
+
+  SignatureStore stores[2];
+};
+
+void CheckAllCrossMatchers(const model::EntityCollection& collection,
+                           const model::GroundTruth& truth) {
+  MatcherZoo zoo(collection, truth);
+  std::vector<util::IntersectKernel> kernels = ReachableKernels();
+  for (const Matcher* matcher : zoo.All()) {
+    if (matcher == &zoo.oracle) continue;
+    SignatureOptions options = OptionsFor(*matcher);
+    SplitStores split(collection, options);
+    std::unique_ptr<CrossStoreMatcher> cross = PrepareCross(*matcher, options);
+    ASSERT_NE(cross, nullptr) << matcher->name();
+    for (util::IntersectKernel kernel : kernels) {
+      ASSERT_TRUE(util::SetIntersectKernel(kernel));
+      ExpectBitEqualPairs(
+          collection, *matcher,
+          [&](model::EntityId a, model::EntityId b) {
+            return cross->Similarity(split.store(a), split.row(a),
+                                     split.store(b), split.row(b));
+          },
+          [&](model::EntityId a, model::EntityId b, double t) {
+            return cross->Matches(split.store(a), split.row(a),
+                                  split.store(b), split.row(b), t);
+          });
     }
     util::ResetIntersectKernel();
   }
@@ -194,6 +329,27 @@ TEST_P(SignatureProperty, PreparedMatchersBitEqualOnCleanCleanCorpus) {
   for (size_t threads : {size_t{1}, size_t{8}}) {
     CheckAllMatchers(corpus.collection, corpus.truth, threads);
   }
+}
+
+TEST_P(SignatureProperty, CrossStoreMatchersBitEqualOnDirtyCorpus) {
+  datagen::CorpusConfig config;
+  config.num_entities = 30;
+  config.duplicate_fraction = 0.6;
+  config.somehow_similar_fraction = 0.4;
+  config.seed = GetParam();
+  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
+  CheckAllCrossMatchers(corpus.collection, corpus.truth);
+}
+
+TEST_P(SignatureProperty, CrossStoreMatchersBitEqualOnCleanCleanCorpus) {
+  datagen::CorpusConfig config;
+  config.num_entities = 30;
+  config.duplicate_fraction = 0.5;
+  config.schema_divergence = 0.3;
+  config.seed = GetParam() ^ 0xC1EA;
+  datagen::Corpus corpus =
+      datagen::CorpusGenerator(config).GenerateCleanClean();
+  CheckAllCrossMatchers(corpus.collection, corpus.truth);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SignatureProperty,
@@ -290,6 +446,102 @@ TEST(SignatureEdgeTest, MergedSlotsStayBitEqualAfterUnions) {
   EXPECT_EQ(jaccard.Similarity(merged01, merged23),
             prepared->Similarity(sig01, sig23));
   EXPECT_GT(store.released_bytes(), 0u);
+}
+
+TEST(SignatureEdgeTest, PrepareCrossRejectsUnpartitionableMatchers) {
+  // The oracle's canonical-id table is bound to one collection, and
+  // vectors from another TF-IDF model would not be bit-equal.
+  model::GroundTruth truth;
+  model::EntityCollection c = TinyDirty(&truth);
+  OracleMatcher oracle(c, truth);
+  EXPECT_EQ(PrepareCross(oracle, OptionsFor(oracle)), nullptr);
+  TfIdfCosineMatcher tfidf(c);
+  TfIdfCosineMatcher other(c);
+  EXPECT_EQ(PrepareCross(tfidf, OptionsFor(other)), nullptr);
+  EXPECT_NE(PrepareCross(tfidf, OptionsFor(tfidf)), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Instrumentation
+// ---------------------------------------------------------------------------
+
+std::array<uint64_t, 3> SignatureCounters(obs::MetricsRegistry& registry) {
+  return {
+      registry.GetCounter("weber.matching.signature.comparisons").Value(),
+      registry.GetCounter("weber.matching.signature.filter_hits").Value(),
+      registry.GetCounter("weber.matching.signature.fallbacks").Value()};
+}
+
+TEST(SignatureMetricsTest, PreparedCountersArePinned) {
+  // Exact {comparisons, filter_hits, fallbacks} of a fixed workload, on
+  // one store and across two: which pairs score on signatures, which
+  // verdicts the required-overlap filter proves alone, and which take the
+  // string path (bridged components and the unsigned last id of the
+  // split). An oracle component bound to its store counts comparisons.
+  model::GroundTruth truth;
+  model::EntityCollection c = TinyDirty(&truth);
+  // A long description, so the length filter alone decides some pairs.
+  model::EntityDescription verbose("http://kb/e/0", "person");
+  verbose.AddPair("name", "eve adams of the old harbour district");
+  verbose.AddPair("city", "rome");
+  c.Add(verbose);
+  model::EntityDescription last("http://kb/f/0", "person");
+  last.AddPair("name", "frank hall");
+  last.AddPair("city", "york");
+  c.Add(last);
+  TokenJaccardMatcher jaccard;
+  TokenOverlapMatcher overlap;
+  TfIdfCosineMatcher tfidf(c);
+  WeightedAttributeMatcher weighted({{"name", 2.0, true}, {"city", 1.0, false}});
+  UnpreparedMatcher unprepared;
+  CompositeMatcher bridged({&unprepared, &jaccard}, {},
+                           CompositeMatcher::Combine::kMin);
+  OracleMatcher oracle(c, truth);
+  CompositeMatcher oracle_max({&overlap, &oracle}, {},
+                              CompositeMatcher::Combine::kMax);
+  const Matcher* matchers[] = {&jaccard, &overlap, &tfidf,     &weighted,
+                               &bridged, &oracle,  &oracle_max};
+  const double thresholds[] = {0.2, 0.5, 0.9};
+
+  obs::MetricsRegistry single;
+  {
+    obs::ScopedRegistry attach(&single);
+    for (const Matcher* matcher : matchers) {
+      SignatureStore store = SignatureStore::Build(c, OptionsFor(*matcher));
+      std::unique_ptr<PreparedMatcher> prepared = Prepare(*matcher, store);
+      ASSERT_NE(prepared, nullptr) << matcher->name();
+      for (model::EntityId a = 0; a < c.size(); ++a) {
+        for (model::EntityId b = a + 1; b < c.size(); ++b) {
+          for (double t : thresholds) prepared->Matches(a, b, t);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(SignatureCounters(single),
+            (std::array<uint64_t, 3>{588, 14, 84}));
+
+  obs::MetricsRegistry cross;
+  {
+    obs::ScopedRegistry attach(&cross);
+    for (const Matcher* matcher : matchers) {
+      if (matcher == &oracle) continue;
+      SignatureOptions options = OptionsFor(*matcher);
+      SplitStores split(c, options);
+      std::unique_ptr<CrossStoreMatcher> scorer =
+          PrepareCross(*matcher, options);
+      ASSERT_NE(scorer, nullptr) << matcher->name();
+      for (model::EntityId a = 0; a < c.size(); ++a) {
+        for (model::EntityId b = a + 1; b < c.size(); ++b) {
+          for (double t : thresholds) {
+            scorer->Matches(split.store(a), split.row(a), split.store(b),
+                            split.row(b), t);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(SignatureCounters(cross),
+            (std::array<uint64_t, 3>{319, 12, 269}));
 }
 
 // ---------------------------------------------------------------------------
