@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "blocking/attribute_clustering.h"
 #include "blocking/block.h"
@@ -666,6 +667,12 @@ TEST(PrefixInfixSuffixTest, UriOnlySignalStillBlocks) {
 struct NamedBlocker {
   std::string label;
   std::shared_ptr<const Blocker> blocker;
+
+  // Without this gtest prints the raw bytes of the parameter, heap
+  // pointers included, into the test name, which then differs per run.
+  friend void PrintTo(const NamedBlocker& param, std::ostream* os) {
+    *os << param.label;
+  }
 };
 
 class BlockerProperty : public ::testing::TestWithParam<NamedBlocker> {};

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "blocking/attribute_clustering.h"
@@ -33,6 +34,12 @@ struct IntegrationCase {
   /// Minimum acceptable end-to-end recall for this blocker on the
   /// standard corpus (the weaker windowed/phonetic methods recall less).
   double min_recall;
+
+  // Without this gtest prints the raw bytes of the parameter, heap
+  // pointers included, into the test name, which then differs per run.
+  friend void PrintTo(const IntegrationCase& param, std::ostream* os) {
+    *os << param.label;
+  }
 };
 
 class PipelineIntegration : public ::testing::TestWithParam<IntegrationCase> {
