@@ -8,6 +8,11 @@
 
 namespace weber::blocking {
 
+namespace {
+
+/// The blocking key of one description under the given options: the
+/// normalised first value of the key attribute, or (schema-agnostic
+/// default) the two lexicographically smallest value tokens.
 std::string SortedNeighborhoodKey(const model::EntityDescription& entity,
                                   const SortedOrderOptions& options) {
   if (!options.key_attribute.empty()) {
@@ -25,6 +30,8 @@ std::string SortedNeighborhoodKey(const model::EntityDescription& entity,
   }
   return key;
 }
+
+}  // namespace
 
 std::vector<model::EntityId> SortedOrder(
     const model::EntityCollection& collection,

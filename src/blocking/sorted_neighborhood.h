@@ -20,14 +20,6 @@ struct SortedOrderOptions {
   std::string key_attribute;
 };
 
-/// The blocking key of one description under the given options: the
-/// normalised first value of the key attribute, or (schema-agnostic
-/// default) the two lexicographically smallest value tokens. Exposed so
-/// that incremental sorted-neighbourhood maintenance keys new entities
-/// exactly like the batch sort.
-std::string SortedNeighborhoodKey(const model::EntityDescription& entity,
-                                  const SortedOrderOptions& options = {});
-
 /// Returns entity ids sorted by their blocking key (ties by id). Also
 /// exposes the keys themselves (parallel to the returned order) when
 /// keys_out != nullptr.

@@ -6,10 +6,11 @@
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
 #include "core/executor.h"
-#include "incremental/serving.h"
+#include "incremental/resolver.h"
 #include "matching/signatures.h"
-#include "serve/service.h"
 #include "obs/metrics.h"
+#include "serve/sharded_resolver.h"
+#include "storage/durable.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -36,225 +37,166 @@ class PhaseScope {
   const char* previous_;
 };
 
-/// The sharded resolve-on-ingest execution (IncrementalMode::shards > 1):
-/// the same stream replayed through a serve::ShardedResolveService, whose
-/// result is bit-equal to the single-shard path below.
-PipelineResult RunShardedIncrementalPipeline(
-    const model::EntityCollection& collection, const model::GroundTruth& truth,
-    const PipelineConfig& config) {
-  WEBER_CHECK(config.matcher != nullptr) << "pipeline needs a matcher";
-  WEBER_CHECK(collection.setting() == model::ErSetting::kDirty)
-      << "incremental mode resolves dirty collections";
-  const IncrementalMode& mode = *config.incremental;
-  WEBER_CHECK(mode.sn_window == 0 && !mode.merge_propagation)
-      << "sorted-neighbourhood and merge propagation are single-shard "
-         "features (shards == 1)";
-  PipelineResult result;
-  util::Timer timer;
-
-  obs::ScopedRegistry attach(config.metrics);
-  obs::MetricsRegistry* registry = obs::Current();
-  obs::Span pipeline_span(registry, "pipeline");
-
-  serve::ShardedServiceOptions service_options;
-  service_options.max_batch = mode.batch_size == 0 ? 64 : mode.batch_size;
-  service_options.resolver.shards = mode.shards;
-  service_options.resolver.match_threshold = config.match_threshold;
-  service_options.resolver.index = mode.index;
-  service_options.resolver.prepared_matching = config.prepared_matching;
-  service_options.resolver.metrics = registry;
-  service_options.resolver.data_dir = mode.data_dir;
-  service_options.resolver.fsync = mode.fsync;
-
-  serve::ShardedResolveService service(config.matcher, service_options);
-  WEBER_CHECK(service.recovery_status().ok())
-      << "durable recovery failed: "
-      << service.recovery_status().ToString();
-  eval::ProgressiveCurve curve(truth.NumMatches());
-  service.resolver().set_comparison_observer(
-      [&curve, &truth](const model::IdPair& pair, bool matched) {
-        curve.Record(matched && truth.IsMatch(pair));
-      });
-
-  {
-    obs::Span span(registry, "ingest");
-    PhaseScope phase("ingest");
-    std::vector<model::EntityDescription> batch;
-    batch.reserve(service_options.max_batch);
-    for (model::EntityId id = 0; id < collection.size(); ++id) {
-      batch.push_back(collection.at(id));
-      if (batch.size() == service_options.max_batch) {
-        serve::ShardedResolveService::IngestResult ingest =
-            service.Ingest(std::move(batch));
-        WEBER_CHECK(ingest.status == serve::ServeErrc::kOk)
-            << "sharded ingest failed: "
-            << serve::ServeErrcName(ingest.status);
-        batch.clear();
-        batch.reserve(service_options.max_batch);
-      }
-    }
-    if (!batch.empty()) {
-      serve::ShardedResolveService::IngestResult ingest =
-          service.Ingest(std::move(batch));
-      WEBER_CHECK(ingest.status == serve::ServeErrc::kOk)
-          << "sharded ingest failed: "
-          << serve::ServeErrcName(ingest.status);
-    }
-  }
-  result.matching_seconds = timer.ElapsedSeconds();
-  timer.Restart();
-
-  serve::ShardedResolver& resolver = service.resolver();
-  model::EntityCollection store_collection = resolver.CollectionSnapshot();
-
-  {
-    obs::Span span(registry, "blocking");
-    PhaseScope phase("blocking");
-    blocking::BlockCollection blocks =
-        resolver.IndexBlocks(&store_collection);
-    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
-    if (registry != nullptr) {
-      registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
-    }
-  }
-  result.blocking_seconds = timer.ElapsedSeconds();
-
-  {
-    obs::Span span(registry, "clustering");
-    PhaseScope phase("clustering");
-    result.clusters = resolver.Clusters();
-  }
-
-  result.candidates = resolver.candidates();
-  result.comparisons = resolver.comparisons();
-  result.matches = resolver.matches();
-  result.curve = std::move(curve);
-  if (resolver.size() != collection.size()) {
-    result.store_collection = std::move(store_collection);
-  }
-
-  {
-    obs::Span span(registry, "checkpoint");
-    PhaseScope phase("checkpoint");
-    storage::Status status = resolver.Checkpoint();
-    WEBER_CHECK(status.ok())
-        << "final checkpoint failed: " << status.ToString();
-  }
-
-  if (registry != nullptr) {
-    registry->GetCounter("weber.pipeline.candidates").Add(result.candidates);
-    registry->GetCounter("weber.pipeline.comparisons").Add(result.comparisons);
-    registry->GetCounter("weber.pipeline.matches").Add(result.matches.size());
-    registry->GetCounter("weber.pipeline.clusters")
-        .Add(result.clusters.size());
-    registry->GetCounter("weber.pipeline.runs").Increment();
-    Executor::Shared().PublishMetrics();
-  }
-  return result;
+/// The store's collection, read back after an incremental run: a
+/// reference for the single-store resolver, a dense copy (ids preserved)
+/// for the sharded one.
+const model::EntityCollection& StoreCollection(
+    const incremental::IncrementalResolver& resolver) {
+  return resolver.store().collection();
+}
+model::EntityCollection StoreCollection(
+    const serve::ShardedResolver& resolver) {
+  return resolver.CollectionSnapshot();
 }
 
-/// The resolve-on-ingest execution: replays the collection through a
-/// ResolveService in batches, then reads quality, clusters and counters
-/// back out of the resolver. With merge propagation off this reproduces
-/// the batch result exactly (see IncrementalMode).
+/// The resolve-on-ingest execution: replays the collection in ingest
+/// batches through the resolver the mode selects, then reads quality,
+/// clusters and counters back out of it. With merge propagation off this
+/// reproduces the batch result exactly, at any shard count (see
+/// IncrementalMode).
 PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
                                       const model::GroundTruth& truth,
                                       const PipelineConfig& config) {
   WEBER_CHECK(config.matcher != nullptr) << "pipeline needs a matcher";
   WEBER_CHECK(collection.setting() == model::ErSetting::kDirty)
       << "incremental mode resolves dirty collections";
+  const IncrementalMode& mode = *config.incremental;
+  WEBER_CHECK(mode.shards == 1 || !mode.merge_propagation)
+      << "merge propagation is a single-shard feature (shards == 1)";
+  WEBER_CHECK(mode.shards == 1 || mode.snapshot_every == 0)
+      << "snapshot_every needs shards == 1 (the sharded resolver keeps "
+         "per-shard WALs without snapshots)";
   PipelineResult result;
   util::Timer timer;
 
   obs::ScopedRegistry attach(config.metrics);
   obs::MetricsRegistry* registry = obs::Current();
   obs::Span pipeline_span(registry, "pipeline");
+  // The sharded resolver narrows its own ingest phases to `shards`-way
+  // parallelism; this pins everything else in the run.
   ScopedParallelism parallelism(config.num_threads);
+  const size_t batch_size = mode.batch_size == 0 ? 64 : mode.batch_size;
+  const bool durable = !mode.data_dir.empty();
 
-  const IncrementalMode& mode = *config.incremental;
-  incremental::ServiceOptions service_options;
-  service_options.max_batch = mode.batch_size == 0 ? 64 : mode.batch_size;
-  service_options.resolver.match_threshold = config.match_threshold;
-  service_options.resolver.index = mode.index;
-  service_options.resolver.sn_window = mode.sn_window;
-  service_options.resolver.sn_options = mode.sn_options;
-  service_options.resolver.merge_propagation = mode.merge_propagation;
-  service_options.resolver.prepared_matching = config.prepared_matching;
-  service_options.resolver.metrics = registry;
-  if (!mode.data_dir.empty()) {
-    storage::DurabilityOptions durability;
-    durability.data_dir = mode.data_dir;
-    durability.snapshot_every = mode.snapshot_every;
-    durability.fsync = mode.fsync;
-    service_options.durability = durability;
-  }
-
-  incremental::ResolveService service(config.matcher, service_options);
-  WEBER_CHECK(service.recovery_status().ok())
-      << "durable recovery failed: "
-      << service.recovery_status().ToString();
+  // The run, common to the three resolvers: `resolver` answers the
+  // queries, `ingest` mutates through whatever owns it (the durable wrapper
+  // logs first) and `checkpoint` folds a durable run into its data
+  // directory.
   eval::ProgressiveCurve curve(truth.NumMatches());
-  service.resolver().set_comparison_observer(
-      [&curve, &truth](const model::IdPair& pair, bool matched) {
-        curve.Record(matched && truth.IsMatch(pair));
-      });
+  auto replay = [&](auto& resolver, auto ingest, auto checkpoint) {
+    resolver.set_comparison_observer(
+        [&curve, &truth](const model::IdPair& pair, bool matched) {
+          curve.Record(matched && truth.IsMatch(pair));
+        });
 
-  // ---- Ingest: blocking + matching + update, interleaved per batch. ----
-  {
-    obs::Span span(registry, "ingest");
-    PhaseScope phase("ingest");
-    std::vector<model::EntityDescription> batch;
-    batch.reserve(service_options.max_batch);
-    for (model::EntityId id = 0; id < collection.size(); ++id) {
-      batch.push_back(collection.at(id));
-      if (batch.size() == service_options.max_batch) {
-        service.Ingest(std::move(batch));
-        batch.clear();
-        batch.reserve(service_options.max_batch);
+    // ---- Ingest: blocking + matching + update, interleaved per batch. --
+    {
+      obs::Span span(registry, "ingest");
+      PhaseScope phase("ingest");
+      std::vector<model::EntityDescription> batch;
+      batch.reserve(batch_size);
+      for (model::EntityId id = 0; id < collection.size(); ++id) {
+        batch.push_back(collection.at(id));
+        if (batch.size() == batch_size) {
+          ingest(std::move(batch));
+          batch.clear();
+          batch.reserve(batch_size);
+        }
+      }
+      if (!batch.empty()) ingest(std::move(batch));
+    }
+    result.matching_seconds = timer.ElapsedSeconds();
+    timer.Restart();
+
+    auto&& store = StoreCollection(resolver);
+
+    // ---- Blocking quality, from the delta index's exported blocks. ----
+    {
+      obs::Span span(registry, "blocking");
+      PhaseScope phase("blocking");
+      blocking::BlockCollection blocks = resolver.IndexBlocks(&store);
+      result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
+      if (registry != nullptr) {
+        registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
       }
     }
-    if (!batch.empty()) service.Ingest(std::move(batch));
-  }
-  result.matching_seconds = timer.ElapsedSeconds();
-  timer.Restart();
+    result.blocking_seconds = timer.ElapsedSeconds();
 
-  incremental::IncrementalResolver& resolver = service.resolver();
-
-  // ---- Blocking quality, from the delta index's exported blocks. ----
-  {
-    obs::Span span(registry, "blocking");
-    PhaseScope phase("blocking");
-    blocking::BlockCollection blocks =
-        resolver.IndexBlocks(&resolver.store().collection());
-    result.blocking_quality = eval::EvaluateBlocks(blocks, truth);
-    if (registry != nullptr) {
-      registry->GetCounter("weber.pipeline.blocks").Add(blocks.NumBlocks());
+    // ---- Clustering: the union-find components the resolver maintained.
+    {
+      obs::Span span(registry, "clustering");
+      PhaseScope phase("clustering");
+      result.clusters = resolver.Clusters();
     }
-  }
-  result.blocking_seconds = timer.ElapsedSeconds();
 
-  // ---- Clustering: the union-find components the resolver maintained. --
-  {
-    obs::Span span(registry, "clustering");
-    PhaseScope phase("clustering");
-    result.clusters = resolver.Clusters();
-  }
+    result.candidates = resolver.candidates();
+    result.comparisons = resolver.comparisons();
+    result.matches = resolver.matches();
+    result.curve = std::move(curve);
+    if (store.size() != collection.size()) {
+      result.store_collection = std::forward<decltype(store)>(store);
+    }
 
-  result.candidates = resolver.candidates();
-  result.comparisons = resolver.comparisons();
-  result.matches = resolver.matches();
-  result.curve = std::move(curve);
-  if (resolver.store().size() != collection.size()) {
-    result.store_collection = resolver.store().collection();
-  }
+    // ---- Durability: fold the run into its data directory. ----
+    if (durable) {
+      obs::Span span(registry, "checkpoint");
+      PhaseScope phase("checkpoint");
+      storage::Status status = checkpoint();
+      WEBER_CHECK(status.ok())
+          << "final checkpoint failed: " << status.ToString();
+    }
+  };
 
-  // ---- Durability: fold the run's WAL into a final snapshot. ----
-  if (service.durable() != nullptr) {
-    obs::Span span(registry, "checkpoint");
-    PhaseScope phase("checkpoint");
-    storage::Status status = service.Checkpoint();
-    WEBER_CHECK(status.ok())
-        << "final checkpoint failed: " << status.ToString();
+  if (mode.shards > 1) {
+    serve::ShardedResolverOptions options;
+    options.shards = mode.shards;
+    options.match_threshold = config.match_threshold;
+    options.index = mode.index;
+    options.prepared_matching = config.prepared_matching;
+    options.data_dir = mode.data_dir;
+    options.fsync = mode.fsync;
+    options.metrics = registry;
+    serve::ShardedResolver resolver(config.matcher, options);
+    WEBER_CHECK(resolver.recovery_status().ok())
+        << "durable recovery failed: "
+        << resolver.recovery_status().ToString();
+    replay(
+        resolver,
+        [&resolver](std::vector<model::EntityDescription> batch) {
+          resolver.Ingest(std::move(batch));
+        },
+        [&resolver] { return resolver.Checkpoint(); });
+  } else {
+    incremental::ResolverOptions options;
+    options.match_threshold = config.match_threshold;
+    options.index = mode.index;
+    options.merge_propagation = mode.merge_propagation;
+    options.prepared_matching = config.prepared_matching;
+    options.metrics = registry;
+    if (durable) {
+      storage::DurabilityOptions durability;
+      durability.data_dir = mode.data_dir;
+      durability.snapshot_every = mode.snapshot_every;
+      durability.fsync = mode.fsync;
+      storage::DurableResolver wrapper(config.matcher, options, durability);
+      WEBER_CHECK(wrapper.recovery_status().ok())
+          << "durable recovery failed: "
+          << wrapper.recovery_status().ToString();
+      replay(
+          wrapper.resolver(),
+          [&wrapper](std::vector<model::EntityDescription> batch) {
+            wrapper.Ingest(std::move(batch));
+          },
+          [&wrapper] { return wrapper.Checkpoint(); });
+    } else {
+      incremental::IncrementalResolver resolver(config.matcher, options);
+      replay(
+          resolver,
+          [&resolver](std::vector<model::EntityDescription> batch) {
+            resolver.Ingest(std::move(batch));
+          },
+          [] { return storage::Status::Ok(); });
+    }
   }
 
   if (registry != nullptr) {
@@ -279,9 +221,6 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
                            const model::GroundTruth& truth,
                            const PipelineConfig& config) {
   if (config.incremental.has_value()) {
-    if (config.incremental->shards > 1) {
-      return RunShardedIncrementalPipeline(collection, truth, config);
-    }
     return RunIncrementalPipeline(collection, truth, config);
   }
   WEBER_CHECK(config.blocker != nullptr) << "pipeline needs a blocker";

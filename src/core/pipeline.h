@@ -5,10 +5,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "blocking/block.h"
-#include "blocking/sorted_neighborhood.h"
 #include "blocking/token_blocking.h"
 #include "eval/blocking_metrics.h"
 #include "eval/progressive_curve.h"
@@ -27,13 +27,16 @@ class MetricsRegistry;
 namespace weber::core {
 
 /// Incremental (resolve-on-ingest) execution of the pipeline: the
-/// collection is replayed through an incremental::ResolveService in
-/// ingest batches instead of being blocked and matched in one shot.
+/// collection is replayed in ingest batches through one resolver instead
+/// of being blocked and matched in one shot. The resolver is an
+/// incremental::IncrementalResolver, wrapped in a storage::DurableResolver
+/// when `data_dir` is set, or a serve::ShardedResolver when `shards` > 1;
+/// the run drives it directly, as its only caller.
 ///
 /// With merge_propagation off the result is *replay-equivalent*: the
 /// final clusters equal the batch pipeline over the same collection with
 /// a TokenBlocking blocker built from `index` (same options, purging cap
-/// 0), for any batch_size and any num_threads. Dirty-ER only.
+/// 0), for any batch_size, shard count and num_threads. Dirty-ER only.
 struct IncrementalMode {
   /// Entities per ingest batch (0 -> 64).
   size_t batch_size = 64;
@@ -41,20 +44,14 @@ struct IncrementalMode {
   /// When > 1, the stream runs through the hash-partitioned
   /// serve::ShardedResolver with this many shards instead of the
   /// single-store resolver. Replay is bit-equal to shards == 1 for any
-  /// count; parallelism scales with the shard count. Requires sn_window
-  /// == 0 and merge_propagation off (both are single-shard features);
-  /// durability uses per-shard WALs (snapshot_every is ignored).
+  /// count; parallelism scales with the shard count. Requires
+  /// merge_propagation off and snapshot_every == 0: durability uses
+  /// per-shard WALs without snapshots.
   size_t shards = 1;
 
   /// Delta token-index configuration. A non-zero max_block_size applies
   /// purging online, which trades replay exactness for bounded postings.
   blocking::TokenBlockingOptions index;
-
-  /// Optional incremental sorted-neighbourhood pass (>= 2 enables; emits
-  /// a superset of the batch windows, so it also forgoes replay
-  /// exactness).
-  size_t sn_window = 0;
-  blocking::SortedOrderOptions sn_options;
 
   /// R-Swoosh-style merge propagation (serial, representative-level
   /// scoring with re-blocking of merged clusters).

@@ -136,31 +136,4 @@ blocking::BlockCollection IncrementalTokenIndex::ToBlocks(
   return result;
 }
 
-void IncrementalSortedNeighborhood::Absorb(
-    model::EntityId id, const model::EntityDescription& description,
-    std::vector<model::IdPair>* new_pairs) {
-  std::string key = blocking::SortedNeighborhoodKey(description, options_);
-  auto [it, inserted] = order_.emplace(key, id);
-  if (!inserted) return;
-  keys_.emplace(id, std::move(key));
-  if (window_ < 2 || new_pairs == nullptr) return;
-  auto backward = it;
-  for (size_t i = 0; i + 1 < window_ && backward != order_.begin(); ++i) {
-    --backward;
-    new_pairs->push_back(model::IdPair::Of(backward->second, id));
-  }
-  auto forward = std::next(it);
-  for (size_t i = 0; i + 1 < window_ && forward != order_.end();
-       ++i, ++forward) {
-    new_pairs->push_back(model::IdPair::Of(forward->second, id));
-  }
-}
-
-void IncrementalSortedNeighborhood::Remove(model::EntityId id) {
-  auto it = keys_.find(id);
-  if (it == keys_.end()) return;
-  order_.erase({it->second, id});
-  keys_.erase(it);
-}
-
 }  // namespace weber::incremental

@@ -2,7 +2,6 @@
 #define WEBER_INCREMENTAL_DELTA_INDEX_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "blocking/block.h"
-#include "blocking/sorted_neighborhood.h"
 #include "blocking/token_blocking.h"
 #include "model/entity.h"
 #include "model/ground_truth.h"
@@ -126,39 +124,6 @@ class IncrementalTokenIndex {
   std::unordered_map<std::string, Posting> postings_;
   std::unordered_set<model::EntityId> removed_;
   DeltaIndexStats stats_;
-};
-
-/// Incrementally maintained sorted-neighbourhood pass.
-///
-/// Keeps the key-sorted order of all absorbed entities; absorbing a new
-/// entity emits its pairs with the window-1 predecessors and successors at
-/// insertion time. Unlike the token index this is not replay-exact: a
-/// later insert can push two previously-adjacent entities beyond the
-/// window, so streaming emits a *superset* of the batch windows (pairs are
-/// never retracted — the standard incremental-SN trade-off, which only
-/// ever adds candidates, never loses them).
-class IncrementalSortedNeighborhood {
- public:
-  explicit IncrementalSortedNeighborhood(
-      size_t window, blocking::SortedOrderOptions options = {})
-      : window_(window), options_(std::move(options)) {}
-
-  /// Inserts the entity into the sort order and appends its new
-  /// neighbourhood pairs (nearest first, predecessors before successors).
-  void Absorb(model::EntityId id, const model::EntityDescription& description,
-              std::vector<model::IdPair>* new_pairs);
-
-  /// Removes the entity from the sort order.
-  void Remove(model::EntityId id);
-
-  size_t size() const { return order_.size(); }
-
- private:
-  size_t window_;
-  blocking::SortedOrderOptions options_;
-  // Batch tie-break is (key, id), so the set order equals SortedOrder.
-  std::set<std::pair<std::string, model::EntityId>> order_;
-  std::unordered_map<model::EntityId, std::string> keys_;
 };
 
 }  // namespace weber::incremental

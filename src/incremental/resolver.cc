@@ -14,10 +14,6 @@ IncrementalResolver::IncrementalResolver(const matching::Matcher* matcher,
     : matcher_(matcher, options.match_threshold),
       options_(std::move(options)),
       token_index_(options_.index) {
-  if (options_.sn_window >= 2) {
-    sn_index_ = std::make_unique<IncrementalSortedNeighborhood>(
-        options_.sn_window, options_.sn_options);
-  }
   if (options_.prepared_matching && matching::Preparable(*matcher)) {
     signatures_.emplace(
         matching::SignatureStore(matching::OptionsFor(*matcher)));
@@ -181,23 +177,12 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
     for (model::EntityId id : ids) signatures_->Absorb(id, store_.at(id));
   }
 
-  // Delta blocking: absorb each new entity in id order; every index emits
-  // only pairs that involve the entity being absorbed, so the slice per
-  // entity is deduplicated locally and the whole list stays free of
-  // repeats across batches by construction.
+  // Delta blocking: absorb each new entity in id order; the index emits
+  // only pairs that involve the entity being absorbed, so the list stays
+  // free of repeats across batches by construction.
   std::vector<model::IdPair> candidates;
   for (model::EntityId id : ids) {
-    size_t first = candidates.size();
     token_index_.Absorb(id, store_.at(id), &candidates);
-    if (sn_index_ != nullptr) {
-      sn_index_->Absorb(id, store_.at(id), &candidates);
-      std::sort(candidates.begin() + static_cast<int64_t>(first),
-                candidates.end());
-      candidates.erase(
-          std::unique(candidates.begin() + static_cast<int64_t>(first),
-                      candidates.end()),
-          candidates.end());
-    }
   }
   candidates_ += candidates.size();
 
@@ -282,7 +267,6 @@ std::optional<IncrementalResolver::Resolution> IncrementalResolver::Resolve(
 bool IncrementalResolver::Remove(model::EntityId id) {
   if (!store_.Tombstone(id)) return false;
   token_index_.Remove(id);
-  if (sn_index_ != nullptr) sn_index_->Remove(id);
   if (signatures_.has_value()) signatures_->Release(id);
   size_t before = matches_.size();
   std::erase_if(matches_, [id](const model::IdPair& pair) {

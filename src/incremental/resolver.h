@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "blocking/sorted_neighborhood.h"
 #include "blocking/token_blocking.h"
 #include "incremental/delta_index.h"
 #include "incremental/entity_store.h"
@@ -38,13 +37,6 @@ struct ResolverOptions {
   /// online purging cap) — shared with the batch TokenBlocking builder.
   blocking::TokenBlockingOptions index;
 
-  /// When >= 2, an incremental sorted-neighbourhood pass of this window
-  /// contributes candidates alongside the token index (streaming multi-
-  /// pass blocking). Its pairs are a superset of the batch windows, so
-  /// replay equivalence only holds with the token index alone (0).
-  size_t sn_window = 0;
-  blocking::SortedOrderOptions sn_options;
-
   /// R-Swoosh-style merge propagation (Section III semantics). Off: new
   /// candidates are scored on the stored descriptions, concurrently, with
   /// commits in emission order — replaying a collection then reproduces
@@ -57,7 +49,7 @@ struct ResolverOptions {
   bool merge_propagation = false;
 
   /// Score candidates over interned signatures: each Ingest absorbs the
-  /// new descriptions into a SignatureStore alongside the delta indexes,
+  /// new descriptions into a SignatureStore alongside the delta index,
   /// and the (non-propagating) batch scorer runs the PreparedMatcher twin
   /// of the configured matcher. Bit-equal to the string path; matchers the
   /// engine cannot prepare fall back to string scoring automatically.
@@ -72,11 +64,12 @@ struct ResolverOptions {
 /// belongs to, retire entities — without ever re-blocking the store.
 ///
 /// Closes the Update loop of Fig. 1 as a service: the mutable EntityStore
-/// holds the descriptions, delta indexes absorb each ingest and emit only
-/// the new candidate pairs, the configured matcher scores them (in
-/// parallel, committed in deterministic order), and a union-find with
+/// holds the descriptions, a delta token index absorbs each ingest and
+/// emits only the new candidate pairs, the configured matcher scores them
+/// (in parallel, committed in deterministic order), and a union-find with
 /// per-cluster member lists maintains the resolution. Not thread-safe;
-/// ResolveService (serving.h) adds the concurrent front door.
+/// the concurrent front door is serve::ShardedResolveService, over the
+/// sharded twin of this resolver.
 class IncrementalResolver {
  public:
   /// The matcher is borrowed and must outlive the resolver.
@@ -93,7 +86,7 @@ class IncrementalResolver {
   }
 
   /// Ingests a batch: appends to the store, absorbs into the delta
-  /// indexes, scores the new candidate pairs and updates the clusters.
+  /// index, scores the new candidate pairs and updates the clusters.
   /// Returns the assigned stable ids. Deterministic for any parallelism.
   std::vector<model::EntityId> Ingest(
       std::vector<model::EntityDescription> batch);
@@ -109,7 +102,7 @@ class IncrementalResolver {
   std::optional<Resolution> Resolve(model::EntityId id);
 
   /// Retires an entity: tombstones the store row, drops it from the
-  /// indexes, discards its match edges and re-derives the clusters from
+  /// index, discards its match edges and re-derives the clusters from
   /// the surviving edges (so links that were only transitive through the
   /// removed entity dissolve). Returns false for unknown/removed ids.
   bool Remove(model::EntityId id);
@@ -167,7 +160,6 @@ class IncrementalResolver {
 
   EntityStore store_;
   IncrementalTokenIndex token_index_;
-  std::unique_ptr<IncrementalSortedNeighborhood> sn_index_;
   // Signature engine (prepared_matching): every ingested description is
   // interned once; Remove tombstones its arena slot.
   std::optional<matching::SignatureStore> signatures_;

@@ -99,10 +99,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   EnsureForestFresh();
   const size_t n = batch.size();
   const size_t num_shards = options_.shards;
-  uint64_t index_updates_before = 0;
-  for (const auto& index : token_shards_) {
-    index_updates_before += index.stats().updates;
-  }
+  const incremental::DeltaIndexStats index_before = IndexStats();
 
   // Global id assignment: dense, insertion order — identical to the
   // single-store sequence for any shard count.
@@ -378,7 +375,9 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
     registry->GetCounter("weber.incremental.merges")
         .Add(merges_ - merges_before);
     registry->GetCounter("weber.incremental.index_updates")
-        .Add(index.updates - index_updates_before);
+        .Add(index.updates - index_before.updates);
+    registry->GetCounter("weber.incremental.index_full_builds")
+        .Add(index.full_builds - index_before.full_builds);
     registry->GetGauge("weber.incremental.live_entities")
         .Set(static_cast<double>(live_count()));
     registry->GetGauge("weber.incremental.index_tokens")

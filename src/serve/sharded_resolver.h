@@ -31,9 +31,9 @@ class MetricsRegistry;
 
 namespace weber::serve {
 
-/// Configuration of a ShardedResolver. Sorted-neighbourhood blocking and
-/// merge propagation are single-shard features (both forgo the replay
-/// exactness sharding is built on) and are intentionally absent.
+/// Configuration of a ShardedResolver. Merge propagation is a
+/// single-shard feature (it forgoes the replay exactness sharding is
+/// built on) and is intentionally absent.
 struct ShardedResolverOptions {
   /// Shard count, 1..kMaxShards. One shard reproduces the single-store
   /// IncrementalResolver exactly; more shards split the same work.

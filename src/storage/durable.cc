@@ -77,7 +77,10 @@ uint64_t DurableResolver::ConfigFingerprint(
   std::memcpy(&threshold_bits, &options.match_threshold,
               sizeof(threshold_bits));
   HashU64(&hash, threshold_bits);
-  HashU64(&hash, options.sn_window);
+  // This slot and the empty string below hashed the options of an
+  // incremental sorted-neighbourhood pass, since removed; their former
+  // defaults stay in so existing data directories still recover.
+  HashU64(&hash, 0);
   HashU64(&hash, options.merge_propagation ? 1 : 0);
   HashU64(&hash, options.prepared_matching ? 1 : 0);
   HashU64(&hash, options.index.normalize.lowercase ? 1 : 0);
@@ -85,7 +88,7 @@ uint64_t DurableResolver::ConfigFingerprint(
   HashU64(&hash, options.index.normalize.collapse_whitespace ? 1 : 0);
   HashU64(&hash, options.index.min_token_length);
   HashU64(&hash, options.index.max_block_size);
-  HashString(&hash, options.sn_options.key_attribute);
+  HashString(&hash, "");
   return hash;
 }
 

@@ -688,7 +688,7 @@ Status SnapshotCodec::Load(const std::string& path,
     if (!status.ok()) return status;
   }
 
-  // The delta indexes are not serialized: they are rebuilt from the live
+  // The delta index is not serialized: it is rebuilt from the live
   // rows, which is observationally identical to the pre-crash index (its
   // lazily-compacted postings only ever differ by removed ids that
   // compaction drops before any pair is emitted). Purge marks go in
@@ -698,18 +698,10 @@ Status SnapshotCodec::Load(const std::string& path,
   for (const std::string& token : purged) {
     resolver->token_index_.postings_[token].purged = true;
   }
-  if (resolver->sn_index_ != nullptr) {
-    resolver->sn_index_ =
-        std::make_unique<incremental::IncrementalSortedNeighborhood>(
-            resolver->options_.sn_window, resolver->options_.sn_options);
-  }
   resolver->store_.ForEachLive(
       [resolver](model::EntityId id,
                  const model::EntityDescription& description) {
         resolver->token_index_.Absorb(id, description, nullptr);
-        if (resolver->sn_index_ != nullptr) {
-          resolver->sn_index_->Absorb(id, description, nullptr);
-        }
       });
   status = DecodeAnnex(image, &resolver->token_index_.stats_);
   if (!status.ok()) return status;

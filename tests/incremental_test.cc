@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "blocking/sorted_neighborhood.h"
 #include "blocking/token_blocking.h"
 #include "core/executor.h"
 #include "core/pipeline.h"
@@ -15,7 +15,6 @@
 #include "incremental/delta_index.h"
 #include "incremental/entity_store.h"
 #include "incremental/resolver.h"
-#include "incremental/serving.h"
 #include "matching/matcher.h"
 #include "model/ground_truth.h"
 #include "obs/metrics.h"
@@ -205,33 +204,6 @@ TEST(IncrementalTokenIndexTest, RemoveDropsEntityFromPairsAndQueries) {
   std::vector<model::EntityId> probe;
   index.Query(Person("u/q", "shared", ""), &probe);
   EXPECT_EQ(probe, (std::vector<model::EntityId>{1, 2}));
-}
-
-TEST(IncrementalSortedNeighborhoodTest, StreamedPairsCoverBatchWindows) {
-  datagen::CorpusConfig config;
-  config.num_entities = 60;
-  config.duplicate_fraction = 0.4;
-  config.seed = 13;
-  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
-
-  const size_t window = 4;
-  model::IdPairSet batch_pairs = blocking::SortedNeighborhood(window)
-                                     .Build(corpus.collection)
-                                     .DistinctPairs();
-
-  IncrementalSortedNeighborhood index(window);
-  std::vector<model::IdPair> streamed;
-  for (model::EntityId id = 0; id < corpus.collection.size(); ++id) {
-    index.Absorb(id, corpus.collection.at(id), &streamed);
-  }
-  // Streaming emits a superset: every batch window pair is present (later
-  // inserts can only have pushed entities apart after their pair was
-  // already emitted).
-  model::IdPairSet streamed_set(streamed.begin(), streamed.end());
-  for (const model::IdPair& pair : batch_pairs) {
-    EXPECT_TRUE(streamed_set.contains(pair))
-        << "missing batch pair (" << pair.low << "," << pair.high << ")";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -482,6 +454,93 @@ TEST(IncrementalReplayTest, PipelineIncrementalModeEqualsBatch) {
             batch.curve.MatchesAt(batch.comparisons));
 }
 
+/// A fresh directory for one durable run, removed with its per-shard
+/// subdirectories when the test ends.
+class TempDir {
+ public:
+  TempDir() {
+    char pattern[] = "/tmp/weber-incremental-test-XXXXXX";
+    char* made = mkdtemp(pattern);
+    EXPECT_NE(made, nullptr);
+    path_ = made;
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// The incremental runner at a shard count: in memory, and durable over a
+/// fresh data directory (DurableResolver at one shard, per-shard WALs
+/// above), must both report exactly what the in-memory single-store run
+/// reports.
+class PipelineShardsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PipelineShardsTest, RunEqualsSingleStoreRun) {
+  datagen::CorpusConfig corpus_config;
+  corpus_config.num_entities = 120;
+  corpus_config.duplicate_fraction = 0.5;
+  corpus_config.seed = 23;
+  datagen::Corpus corpus =
+      datagen::CorpusGenerator(corpus_config).GenerateDirty();
+
+  matching::TokenJaccardMatcher matcher;
+  core::PipelineConfig config;
+  config.matcher = &matcher;
+  config.match_threshold = 0.5;
+  core::IncrementalMode mode;
+  mode.batch_size = 16;
+  config.incremental = mode;
+  core::PipelineResult reference =
+      core::RunPipeline(corpus.collection, corpus.truth, config);
+  ASSERT_GT(reference.matches.size(), 0u);
+
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "fresh data dir" : "in memory");
+    TempDir dir;
+    config.incremental->shards = GetParam();
+    config.incremental->data_dir = durable ? dir.path() : "";
+    core::PipelineResult run =
+        core::RunPipeline(corpus.collection, corpus.truth, config);
+    EXPECT_EQ(run.matches, reference.matches);
+    EXPECT_EQ(run.clusters, reference.clusters);
+    EXPECT_EQ(run.candidates, reference.candidates);
+    EXPECT_EQ(run.comparisons, reference.comparisons);
+    EXPECT_EQ(run.blocking_quality.comparisons,
+              reference.blocking_quality.comparisons);
+    EXPECT_EQ(run.blocking_quality.comparisons_with_redundancy,
+              reference.blocking_quality.comparisons_with_redundancy);
+    EXPECT_EQ(run.blocking_quality.matches_covered,
+              reference.blocking_quality.matches_covered);
+    EXPECT_EQ(run.blocking_quality.total_matches,
+              reference.blocking_quality.total_matches);
+    EXPECT_EQ(run.blocking_quality.total_possible_comparisons,
+              reference.blocking_quality.total_possible_comparisons);
+    EXPECT_EQ(run.curve.CumulativeMatches(),
+              reference.curve.CumulativeMatches());
+    EXPECT_FALSE(run.store_collection.has_value());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, PipelineShardsTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
+
+TEST(PipelineShardsDeathTest, SnapshotEveryNeedsOneShard) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  model::GroundTruth truth;
+  model::EntityCollection collection = TinyDirty(&truth);
+  matching::TokenJaccardMatcher matcher;
+  core::PipelineConfig config;
+  config.matcher = &matcher;
+  core::IncrementalMode mode;
+  mode.shards = 2;
+  mode.snapshot_every = 5;
+  config.incremental = mode;
+  EXPECT_DEATH(core::RunPipeline(collection, truth, config),
+               "snapshot_every needs shards == 1");
+}
+
 // ---------------------------------------------------------------------------
 // No-rebuild guarantee
 // ---------------------------------------------------------------------------
@@ -517,72 +576,6 @@ TEST(IncrementalScaleTest, SingleIngestIntoLargeStoreDoesNotRebuildIndex) {
   EXPECT_EQ(resolver.index_stats().full_builds, 0u);
   // And the new entity still got blocked against its group.
   EXPECT_GT(resolver.candidates(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ResolveService
-// ---------------------------------------------------------------------------
-
-TEST(ResolveServiceTest, ServesTinyCorpus) {
-  matching::TokenJaccardMatcher matcher;
-  ServiceOptions options;
-  options.resolver.match_threshold = 0.45;
-  ResolveService service(&matcher, options);
-  std::vector<model::EntityId> ids =
-      service.Ingest(Descriptions(TinyDirty(nullptr)));
-  ASSERT_EQ(ids.size(), 6u);
-  auto resolution = service.Resolve(ids[0]);
-  ASSERT_TRUE(resolution.has_value());
-  EXPECT_EQ(resolution->members.size(), 2u);
-  EXPECT_TRUE(service.Remove(ids[5]));
-  EXPECT_EQ(service.Clusters().size(), 3u);
-  EXPECT_EQ(service.requests(), 1u);
-  EXPECT_EQ(service.batches_run(), 1u);
-}
-
-TEST(ResolveServiceTest, ConcurrentIngestsResolveEveryEntity) {
-  matching::TokenJaccardMatcher matcher;
-  ServiceOptions options;
-  options.max_batch = 32;
-  options.resolver.match_threshold = 0.45;
-  ResolveService service(&matcher, options);
-
-  constexpr size_t kThreads = 8;
-  constexpr size_t kPerThread = 25;
-  std::vector<std::vector<model::EntityId>> ids(kThreads);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&service, &ids, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        std::string tag = std::to_string(t * 1000 + i);
-        // Each entity arrives twice with identical values (Jaccard 1.0)
-        // so clusters must form regardless of request coalescing, while
-        // distinct entities share only the city token (1/3 < threshold).
-        std::vector<model::EntityId> got = service.Ingest(
-            {Person("u/" + tag + "/0", "name" + tag, "metropolis"),
-             Person("u/" + tag + "/1", "name" + tag, "metropolis")});
-        ids[t].insert(ids[t].end(), got.begin(), got.end());
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-
-  EXPECT_EQ(service.requests(), kThreads * kPerThread);
-  EXPECT_LE(service.batches_run(), service.requests());
-  EXPECT_EQ(service.resolver().store().size(), kThreads * kPerThread * 2);
-  // Every ingested entity resolves, and each duplicate pair shares a
-  // cluster regardless of how requests were coalesced.
-  for (size_t t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(ids[t].size(), kPerThread * 2);
-    for (size_t i = 0; i < kPerThread; ++i) {
-      auto left = service.Resolve(ids[t][2 * i]);
-      auto right = service.Resolve(ids[t][2 * i + 1]);
-      ASSERT_TRUE(left.has_value());
-      ASSERT_TRUE(right.has_value());
-      EXPECT_EQ(left->representative, right->representative);
-    }
-  }
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "core/executor.h"
 #include "datagen/corpus_generator.h"
 #include "incremental/resolver.h"
-#include "incremental/serving.h"
 #include "matching/matcher.h"
 #include "model/entity.h"
 #include "serve/client.h"
@@ -398,49 +397,55 @@ TEST(ShardedResolveServiceTest, WaitersCoalesceIntoOneHandedOffBatch) {
       ServeErrc::kOk);
 }
 
-/// Same regression for the single-store front door whose handoff the
-/// sharded service generalises: with a slow leading batch and waiters
-/// piled up, leadership passes to the oldest waiter which drains the
-/// whole queue — and the service keeps serving afterwards.
-TEST(ResolveServiceFairnessTest, OldestWaiterInheritsLeadership) {
-  GatedMatcher matcher;
-  incremental::ServiceOptions options;
-  options.max_batch = 64;
-  incremental::ResolveService service(&matcher, options);
+TEST(ShardedResolveServiceTest, ConcurrentIngestsResolveEveryEntity) {
+  matching::TokenJaccardMatcher matcher;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedServiceOptions options;
+    options.max_batch = 32;
+    options.resolver.shards = shards;
+    options.resolver.match_threshold = 0.45;
+    ShardedResolveService service(&matcher, options);
 
-  std::thread leader([&] {
-    std::vector<model::EntityId> ids = service.Ingest({
-        Person("http://kb/l1", "alice smith", "paris"),
-        Person("http://kb/l2", "alice smith", "paris"),
-    });
-    EXPECT_EQ(ids.size(), 2u);
-  });
+    constexpr size_t kThreads = 8;
+    constexpr size_t kPerThread = 25;
+    std::vector<std::vector<model::EntityId>> ids(kThreads);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&service, &ids, t] {
+        for (size_t i = 0; i < kPerThread; ++i) {
+          std::string tag = std::to_string(t * 1000 + i);
+          // Each entity arrives twice with identical values (Jaccard 1.0)
+          // so clusters must form regardless of request coalescing, while
+          // distinct entities share only the city token (1/3 < threshold).
+          auto result = service.Ingest(
+              {Person("u/" + tag + "/0", "name" + tag, "metropolis"),
+               Person("u/" + tag + "/1", "name" + tag, "metropolis")});
+          EXPECT_EQ(result.status, ServeErrc::kOk);
+          ids[t].insert(ids[t].end(), result.ids.begin(), result.ids.end());
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
 
-  constexpr int kWaiters = 5;
-  std::atomic<int> started{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&, i] {
-      started.fetch_add(1);
-      std::vector<model::EntityId> ids = service.Ingest(
-          {Person("http://kb/w" + std::to_string(i), "frank black",
-                  "berlin")});
-      EXPECT_EQ(ids.size(), 1u);
-    });
+    EXPECT_EQ(service.requests(), kThreads * kPerThread);
+    EXPECT_LE(service.batches_run(), service.requests());
+    EXPECT_EQ(service.shed(), 0u);
+    EXPECT_EQ(service.resolver().size(), kThreads * kPerThread * 2);
+    // Every ingested entity resolves, and each duplicate pair shares a
+    // cluster regardless of how requests were coalesced.
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(ids[t].size(), kPerThread * 2);
+      for (size_t i = 0; i < kPerThread; ++i) {
+        auto left = service.Resolve(ids[t][2 * i]);
+        auto right = service.Resolve(ids[t][2 * i + 1]);
+        ASSERT_TRUE(left.has_value());
+        ASSERT_TRUE(right.has_value());
+        EXPECT_EQ(left->representative, right->representative);
+      }
+    }
   }
-  while (started.load() < kWaiters) std::this_thread::sleep_for(
-      milliseconds(1));
-  std::this_thread::sleep_for(milliseconds(50));
-  matcher.Open();
-  leader.join();
-  for (std::thread& t : waiters) t.join();
-
-  EXPECT_EQ(service.requests(), 1u + kWaiters);
-  EXPECT_LE(service.batches_run(), 3u);
-  EXPECT_EQ(service.resolver().store().size(), 2u + kWaiters);
-  EXPECT_EQ(service.Ingest({Person("http://kb/after", "erin", "oslo")})
-                .size(),
-            1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -535,6 +535,21 @@ TEST(DurableResolverTest, ConfigChangeIsRejectedOnRecovery) {
   EXPECT_EQ(recovered.recovery_status().code(), StorageErrc::kConfigMismatch);
 }
 
+// The fingerprint is stored on disk: if it drifted for an unchanged
+// config, every existing data directory would fail recovery with
+// kConfigMismatch. These values were written by earlier releases.
+TEST(DurableResolverTest, ConfigFingerprintIsPinned) {
+  matching::TokenJaccardMatcher matcher;
+  EXPECT_EQ(DurableResolver::ConfigFingerprint(&matcher,
+                                               incremental::ResolverOptions{}),
+            0x1cde547894d621eaull);
+  incremental::ResolverOptions custom;
+  custom.index.max_block_size = 64;
+  custom.prepared_matching = false;
+  EXPECT_EQ(DurableResolver::ConfigFingerprint(&matcher, custom),
+            0xe4ceb5395487248bull);
+}
+
 TEST(DurableResolverTest, MissingDataDirFailsClosed) {
   matching::TokenJaccardMatcher matcher;
   DurabilityOptions durability;
