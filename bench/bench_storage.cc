@@ -1,6 +1,6 @@
 // Durability subsystem rates (see DESIGN.md "Durability"): snapshot
-// write and load bandwidth, the O(1) zero-copy mapped open, and WAL
-// append/replay throughput.
+// write and load bandwidth, the O(1) zero-copy mapped open, WAL
+// append/replay throughput, and sharded recovery time against history.
 //
 // Claims to measure: (a) snapshot encode+write and eager load move at
 // memory/disk bandwidth, scaling linearly in state size; (b) the mapped
@@ -9,10 +9,14 @@
 // payload pages (the zero-copy claim, visible as near-constant
 // open_us across rows); (c) WAL append rates under fsync=off/batch
 // bound the no-durability and group-commit costs, and replay drains a
-// cold WAL at ingest speed.
+// cold WAL at ingest speed; (d) reopening a checkpointed sharded data
+// dir loads a snapshot instead of re-resolving the whole history, so it
+// costs a fraction of the WAL-only reopen and grows only with the state
+// it decodes, not with the matching work the history took.
 //
 // Rows: resolver store size (snapshot benches), record count (WAL
-// benches). Counters: bytes, MB/s, records/s, open_us.
+// benches), history length x {WAL-only, checkpointed} (sharded
+// recovery). Counters: bytes, MB/s, records/s, open_us, entities/s.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +29,7 @@
 #include "incremental/resolver.h"
 #include "matching/matcher.h"
 #include "matching/signatures.h"
+#include "serve/sharded_resolver.h"
 #include "storage/durable.h"
 #include "storage/file_io.h"
 #include "storage/snapshot.h"
@@ -42,19 +47,27 @@ class BenchDir {
     path_ = made == nullptr ? "/tmp" : made;
   }
   ~BenchDir() {
-    std::vector<std::string> entries;
-    if (storage::ListDirectory(path_, &entries).ok()) {
-      for (const std::string& entry : entries) {
-        std::remove((path_ + "/" + entry).c_str());
-      }
-    }
-    std::remove(path_.c_str());
+    for (const std::string& sub : subdirs_) Clear(path_ + "/" + sub);
+    Clear(path_);
   }
+  /// A subdirectory the code under test creates, cleared first.
+  void Track(const std::string& sub) { subdirs_.push_back(sub); }
   std::string file(const std::string& name) const { return path_ + "/" + name; }
   const std::string& path() const { return path_; }
 
  private:
+  static void Clear(const std::string& path) {
+    std::vector<std::string> entries;
+    if (storage::ListDirectory(path, &entries).ok()) {
+      for (const std::string& entry : entries) {
+        std::remove((path + "/" + entry).c_str());
+      }
+    }
+    std::remove(path.c_str());
+  }
+
   std::string path_;
+  std::vector<std::string> subdirs_;
 };
 
 /// Duplicate-rich synthetic corpus: every pair of twins shares a name, so
@@ -246,6 +259,59 @@ void BM_WalReplay(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_WalReplay)->Arg(1000)->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ShardedRecovery(benchmark::State& state) {
+  // Reopen of a 4-shard data dir holding `n` descriptions, ingested in
+  // 64-entity batches: WAL-only (every batch is tokenised, blocked and
+  // scored again) vs. checkpointed at the end (a mapped snapshot load
+  // with every section CRC-checked, and an empty WAL tail).
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool checkpointed = state.range(1) != 0;
+  matching::TokenJaccardMatcher matcher;
+  BenchDir dir;
+  for (size_t s = 0; s < 4; ++s) {
+    char shard[16];
+    std::snprintf(shard, sizeof(shard), "shard-%02zu", s);
+    dir.Track(shard);
+  }
+  serve::ShardedResolverOptions options;
+  options.shards = 4;
+  options.index.max_block_size = 64;
+  options.data_dir = dir.path();
+  options.fsync = storage::FsyncPolicy::kOff;
+  {
+    serve::ShardedResolver durable(&matcher, options);
+    std::vector<model::EntityDescription> corpus = StorageCorpus(n);
+    const size_t batch = 64;
+    for (size_t start = 0; start < corpus.size(); start += batch) {
+      size_t end = std::min(start + batch, corpus.size());
+      durable.Ingest(std::vector<model::EntityDescription>(
+          corpus.begin() + static_cast<int64_t>(start),
+          corpus.begin() + static_cast<int64_t>(end)));
+    }
+    storage::Status status =
+        checkpointed ? durable.Checkpoint() : durable.Sync();
+    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+  }
+  size_t recovered = 0;
+  for (auto _ : state) {
+    serve::ShardedResolver reopened(&matcher, options);
+    if (!reopened.recovery_status().ok()) {
+      state.SkipWithError(reopened.recovery_status().ToString().c_str());
+    }
+    recovered = reopened.size();
+    benchmark::DoNotOptimize(recovered);
+  }
+  state.counters["descriptions"] = static_cast<double>(recovered);
+  state.counters["entities/s"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ShardedRecovery)
+    ->ArgsProduct({{10000, 30000, 100000}, {0, 1}})
+    ->ArgNames({"history", "checkpointed"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -398,11 +398,6 @@ int main(int argc, char** argv) {
   if (shards_flag && !stream) {
     return UsageFail("--shards requires --stream");
   }
-  if (shards > 1 && snapshot_every_flag) {
-    return UsageFail(
-        "--snapshot-every is not supported with --shards > 1 (per-shard "
-        "WAL-only durability)");
-  }
   if (!data_dir.empty()) {
     if (!stream) return UsageFail("--data-dir requires --stream");
     if (!storage::DirectoryExists(data_dir)) {

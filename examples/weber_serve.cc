@@ -297,7 +297,12 @@ int main(int argc, char** argv) {
                socket_path.c_str(), static_cast<unsigned long long>(shards),
                static_cast<unsigned long long>(service.resolver().osn()),
                service.resolver().size());
-  server.Serve();
+  status = server.Serve();
+  if (!status.ok()) {
+    std::fprintf(stderr, "weber_serve: final sync failed: %s\n",
+                 status.ToString().c_str());
+    return 1;
+  }
   std::fprintf(stderr,
                "weber_serve: drained and stopped (requests=%llu, "
                "batches=%llu, shed=%llu)\n",

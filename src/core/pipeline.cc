@@ -63,9 +63,6 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
   const IncrementalMode& mode = *config.incremental;
   WEBER_CHECK(mode.shards == 1 || !mode.merge_propagation)
       << "merge propagation is a single-shard feature (shards == 1)";
-  WEBER_CHECK(mode.shards == 1 || mode.snapshot_every == 0)
-      << "snapshot_every needs shards == 1 (the sharded resolver keeps "
-         "per-shard WALs without snapshots)";
   PipelineResult result;
   util::Timer timer;
 
@@ -155,6 +152,7 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
     options.prepared_matching = config.prepared_matching;
     options.data_dir = mode.data_dir;
     options.fsync = mode.fsync;
+    options.snapshot_every = mode.snapshot_every;
     options.metrics = registry;
     serve::ShardedResolver resolver(config.matcher, options);
     WEBER_CHECK(resolver.recovery_status().ok())

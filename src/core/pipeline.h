@@ -45,8 +45,7 @@ struct IncrementalMode {
   /// serve::ShardedResolver with this many shards instead of the
   /// single-store resolver. Replay is bit-equal to shards == 1 for any
   /// count; parallelism scales with the shard count. Requires
-  /// merge_propagation off and snapshot_every == 0: durability uses
-  /// per-shard WALs without snapshots.
+  /// merge_propagation off.
   size_t shards = 1;
 
   /// Delta token-index configuration. A non-zero max_block_size applies
@@ -58,9 +57,9 @@ struct IncrementalMode {
   bool merge_propagation = false;
 
   /// Durability: when non-empty, the run's resolver recovers from and
-  /// write-ahead logs to this directory (see storage::DurableResolver),
-  /// and the pipeline finishes with a checkpoint. Requires
-  /// merge_propagation off.
+  /// write-ahead logs to this directory (see storage::DurableResolver and
+  /// serve::ShardedResolver), and the pipeline finishes with a
+  /// checkpoint. Requires merge_propagation off.
   std::string data_dir;
   /// Checkpoint every N durable ops (0 = only the final checkpoint).
   uint64_t snapshot_every = 0;

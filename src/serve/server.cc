@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -46,7 +47,7 @@ storage::Status UnixServer::Start() {
   return storage::Status::Ok();
 }
 
-void UnixServer::Serve() {
+storage::Status UnixServer::Serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
@@ -68,10 +69,15 @@ void UnixServer::Serve() {
   }
   // lint: allow(threads) blocking connection I/O
   for (std::thread& thread : joinable) thread.join();
-  service_->Drain();
+  storage::Status status = service_->Drain();
+  if (!status.ok()) {
+    std::fprintf(stderr, "weber serve: final WAL sync failed: %s\n",
+                 status.ToString().c_str());
+  }
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
+  return status;
 }
 
 void UnixServer::RequestStop() {

@@ -47,7 +47,9 @@ class UnixServer {
 
   /// Runs the accept loop in the calling thread until a kShutdown request
   /// (or RequestStop) arrives, then drains and cleans up the socket file.
-  void Serve();
+  /// Returns the drain's final WAL sync status, also printed to stderr
+  /// when it failed.
+  storage::Status Serve();
 
   /// Asks Serve() to stop from another thread (idempotent).
   void RequestStop();

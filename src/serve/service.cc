@@ -158,7 +158,7 @@ void ShardedResolveService::BeginShutdown() {
   shutting_down_ = true;
 }
 
-void ShardedResolveService::Drain() {
+storage::Status ShardedResolveService::Drain() {
   {
     util::MutexLock lock(queue_mu_);
     while (!queue_.empty() || leader_active_) {
@@ -166,8 +166,7 @@ void ShardedResolveService::Drain() {
     }
   }
   util::MutexLock resolver_lock(resolver_mu_);
-  storage::Status status = resolver_.Checkpoint();
-  (void)status;  // Shutdown path: nothing to surface the sync error to.
+  return resolver_.Sync();
 }
 
 }  // namespace weber::serve

@@ -90,8 +90,10 @@ class ShardedResolveService {
   void BeginShutdown();
 
   /// Blocks until the ingest queue is empty and no leader is running,
-  /// then syncs the WALs. Typically preceded by BeginShutdown().
-  void Drain();
+  /// then syncs the WALs (a sync, not a checkpoint: a snapshot here would
+  /// add the encode's memory to the live state at shutdown). Returns the
+  /// sync's status. Typically preceded by BeginShutdown().
+  storage::Status Drain();
 
   uint64_t requests() const { return requests_.load(); }
   uint64_t batches_run() const { return batches_run_.load(); }

@@ -1,6 +1,7 @@
 #include "serve/sharded_resolver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -14,6 +15,7 @@
 #include "storage/durable.h"
 #include "storage/entity_codec.h"
 #include "storage/file_io.h"
+#include "storage/snapshot.h"
 #include "text/tokenizer.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -29,10 +31,39 @@ constexpr uint8_t kServeIngest = 1;  // osn u64, mask u64, count u32,
 constexpr uint8_t kServeRemove = 2;  // osn u64, mask u64, gid u32.
 
 constexpr char kMetaMagic[8] = {'W', 'E', 'B', 'E', 'R', 'S', 'R', 'V'};
-constexpr uint32_t kMetaVersion = 1;
+// v1: per-shard `wal-0` only. v2 adds snapshot generations; older builds
+// refuse a v2 directory instead of replaying a WAL that no longer starts
+// at osn 0.
+constexpr uint32_t kMetaVersion = 2;
+
+// The resolver-wide sections of a serve snapshot; the per-shard ones are
+// the codec's components, tagged shard + 1.
+constexpr uint32_t kServeManifest = storage::SnapshotCodec::kFirstCallerKind;
+constexpr uint32_t kServeVocabulary = kServeManifest + 1;
 
 size_t TokenShardOf(const std::string& token, size_t shards) {
   return mapreduce::MixFingerprint(std::hash<std::string>{}(token)) % shards;
+}
+
+uint32_t ShardTag(size_t shard) { return static_cast<uint32_t>(shard + 1); }
+
+/// Parses "<prefix><decimal>" names; anything else is not ours.
+std::optional<uint64_t> ParseGeneration(const std::string& name,
+                                        const std::string& prefix) {
+  if (name.size() <= prefix.size() || name.size() > prefix.size() + 20 ||
+      name.compare(0, prefix.size(), prefix) != 0) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (size_t i = prefix.size(); i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return std::nullopt;
+    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
+  }
+  return value;
+}
+
+storage::Status WalCorrupt(const std::string& detail) {
+  return storage::Status(storage::StorageErrc::kWalCorrupt, detail);
 }
 
 }  // namespace
@@ -75,7 +106,21 @@ ShardedResolver::ShardedResolver(const matching::Matcher* matcher,
   }
   if (!options_.data_dir.empty()) {
     durable_ = true;
+    fingerprint_ = ConfigFingerprint();
+    util::Timer timer;
     recovery_status_ = RecoverOrInit();
+    obs::MetricsRegistry* registry = Registry();
+    if (recovery_status_.ok() && registry != nullptr) {
+      registry->GetHistogram("weber.storage.recovery_seconds")
+          .Record(timer.ElapsedSeconds());
+      registry->GetCounter("weber.storage.wal.replayed_records")
+          .Add(replayed_records_);
+      registry->GetCounter("weber.storage.wal.torn_tail_bytes")
+          .Add(torn_tail_bytes_);
+      registry->GetGauge("weber.storage.state_digest")
+          .Set(static_cast<double>(StateDigest()));
+      PublishWalMetrics();
+    }
   }
 }
 
@@ -89,7 +134,10 @@ obs::MetricsRegistry* ShardedResolver::Registry() const {
 
 std::vector<model::EntityId> ShardedResolver::Ingest(
     std::vector<model::EntityDescription> batch) {
-  return IngestLocked(std::move(batch), /*log=*/true);
+  std::vector<model::EntityId> ids =
+      IngestLocked(std::move(batch), /*log=*/true);
+  MaybeCheckpoint();
+  return ids;
 }
 
 std::vector<model::EntityId> ShardedResolver::IngestLocked(
@@ -394,6 +442,7 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
           .Record(static_cast<double>(heaviest) / mean);
     }
   }
+  if (log && durable_) PublishWalMetrics();
   return gids;
 }
 
@@ -463,7 +512,9 @@ ShardedResolver::Resolve(model::EntityId id) {
 }
 
 bool ShardedResolver::Remove(model::EntityId id) {
-  return RemoveLocked(id, /*log=*/true);
+  if (!RemoveLocked(id, /*log=*/true)) return false;
+  MaybeCheckpoint();
+  return true;
 }
 
 bool ShardedResolver::RemoveLocked(model::EntityId id, bool log) {
@@ -490,6 +541,7 @@ bool ShardedResolver::RemoveLocked(model::EntityId id, bool log) {
     storage::Status status = shard.wal.Append(kServeRemove, payload.Take());
     WEBER_CHECK(status.ok())
         << "shard " << s << " WAL append failed: " << status.ToString();
+    PublishWalMetrics();
   }
   ++osn_next_;
   if (obs::MetricsRegistry* registry = Registry()) {
@@ -601,14 +653,127 @@ model::EntityCollection ShardedResolver::CollectionSnapshot() const {
   return collection;
 }
 
-storage::Status ShardedResolver::Checkpoint() {
+storage::Status ShardedResolver::Sync() {
   if (!durable_) return storage::Status::Ok();
   for (Shard& shard : shards_) {
     if (!shard.wal.is_open()) continue;
     storage::Status status = shard.wal.Sync();
     if (!status.ok()) return status;
   }
+  PublishWalMetrics();
   return storage::Status::Ok();
+}
+
+storage::Status ShardedResolver::Checkpoint() {
+  if (!durable_) return storage::Status::Ok();
+  if (!recovery_status_.ok()) return recovery_status_;
+  if (osn_next_ == generation_) return Sync();  // Nothing new to fold in.
+  util::Timer timer;
+  const uint64_t generation = osn_next_;
+  storage::Status status = storage::Status::Ok();
+  // Older builds must refuse the directory before it holds a snapshot.
+  if (meta_version_ < kMetaVersion) status = WriteMeta();
+  if (!status.ok()) return status;
+
+  // The arena sections borrow the live stores; nothing mutates them until
+  // the write below returns.
+  storage::SnapshotCodec::Writer writer;
+  for (size_t s = 0; s < options_.shards; ++s) {
+    const Shard& shard = shards_[s];
+    writer.AddStore(ShardTag(s), shard.store);
+    if (shard.signatures.has_value()) {
+      writer.AddSignatures(ShardTag(s), *shard.signatures);
+    }
+    writer.AddTokenIndex(ShardTag(s), token_shards_[s]);
+  }
+  storage::ByteWriter manifest;
+  manifest.PutU32(static_cast<uint32_t>(options_.shards));
+  manifest.PutU64(row_of_.size());
+  manifest.PutRaw(row_of_.data(), row_of_.size() * sizeof(uint32_t));
+  manifest.PutU64(matches_.size());
+  manifest.PutRaw(matches_.data(), matches_.size() * sizeof(model::IdPair));
+  for (uint64_t counter :
+       {comparisons_, candidates_, merges_, batches_, removed_}) {
+    manifest.PutU64(counter);
+  }
+  writer.AddBytes(kServeManifest, manifest.Take());
+  storage::ByteWriter vocabulary;
+  vocabulary.PutU64(vocabulary_.size());
+  for (const std::string* token : vocabulary_.ById()) {
+    vocabulary.PutString(*token);
+  }
+  writer.AddBytes(kServeVocabulary, vocabulary.Take());
+
+  storage::AtomicFile file;
+  storage::SnapshotCodec::WriteInfo written;
+  status = file.Open(SnapshotPath(generation));
+  if (status.ok()) {
+    status = writer.Write(&file, fingerprint_, generation, &written);
+  }
+  if (!status.ok()) return status;
+  Hook(CheckpointStage::kSnapshotWritten);
+  status = file.Commit();  // The commit point of the generation.
+  if (!status.ok()) return status;
+  Hook(CheckpointStage::kSnapshotRenamed);
+
+  const uint64_t previous = generation_;
+  generation_ = generation;
+  for (size_t s = 0; s < options_.shards; ++s) {
+    status = shards_[s].wal.Create(WalPath(s, generation), generation,
+                                   options_.fsync,
+                                   options_.batch_fsync_interval);
+    if (!status.ok()) return status;
+  }
+  Hook(CheckpointStage::kWalsRotated);
+  status = storage::RemoveFile(SnapshotPath(previous));
+  for (size_t s = 0; s < options_.shards && status.ok(); ++s) {
+    status = storage::RemoveFile(WalPath(s, previous));
+  }
+  if (!status.ok()) return status;
+
+  if (obs::MetricsRegistry* registry = Registry()) {
+    registry->GetCounter("weber.storage.snapshots_written").Increment();
+    registry->GetCounter("weber.storage.snapshot.bytes").Add(written.bytes);
+    registry->GetHistogram("weber.storage.snapshot.write_seconds")
+        .Record(timer.ElapsedSeconds());
+    registry->GetGauge("weber.storage.state_digest")
+        .Set(static_cast<double>(StateDigest()));
+  }
+  PublishWalMetrics();
+  return storage::Status::Ok();
+}
+
+void ShardedResolver::MaybeCheckpoint() {
+  if (!durable_ || options_.snapshot_every == 0) return;
+  if (osn_next_ - generation_ < options_.snapshot_every) return;
+  storage::Status status = Checkpoint();
+  WEBER_CHECK(status.ok()) << "checkpoint failed: " << status.ToString();
+}
+
+void ShardedResolver::Hook(CheckpointStage stage) const {
+  if (options_.checkpoint_hook) options_.checkpoint_hook(stage);
+}
+
+void ShardedResolver::PublishWalMetrics() {
+  obs::MetricsRegistry* registry = Registry();
+  if (registry == nullptr) return;
+  uint64_t records = 0;
+  uint64_t bytes = 0;
+  uint64_t fsyncs = 0;
+  for (const Shard& shard : shards_) {
+    records += shard.wal.appended_records();
+    bytes += shard.wal.appended_bytes();
+    fsyncs += shard.wal.fsyncs();
+  }
+  registry->GetCounter("weber.storage.wal.appended_records")
+      .Add(records - published_wal_records_);
+  registry->GetCounter("weber.storage.wal.appended_bytes")
+      .Add(bytes - published_wal_bytes_);
+  registry->GetCounter("weber.storage.wal.fsyncs")
+      .Add(fsyncs - published_wal_fsyncs_);
+  published_wal_records_ = records;
+  published_wal_bytes_ = bytes;
+  published_wal_fsyncs_ = fsyncs;
 }
 
 // ---------------------------------------------------------------------------
@@ -621,8 +786,13 @@ std::string ShardedResolver::ShardDir(size_t shard) const {
   return options_.data_dir + "/" + name;
 }
 
-std::string ShardedResolver::WalPath(size_t shard) const {
-  return ShardDir(shard) + "/wal-0";
+std::string ShardedResolver::WalPath(size_t shard,
+                                     uint64_t generation) const {
+  return ShardDir(shard) + "/wal-" + std::to_string(generation);
+}
+
+std::string ShardedResolver::SnapshotPath(uint64_t generation) const {
+  return options_.data_dir + "/serve-snapshot-" + std::to_string(generation);
 }
 
 std::string ShardedResolver::MetaPath() const {
@@ -649,22 +819,105 @@ storage::Status ShardedResolver::RecoverOrInit() {
   return InitFresh();
 }
 
-storage::Status ShardedResolver::InitFresh() {
-  for (size_t s = 0; s < options_.shards; ++s) {
-    storage::Status status = storage::MakeDirectory(ShardDir(s));
-    if (!status.ok()) return status;
-    status = shards_[s].wal.Create(WalPath(s), 0, options_.fsync,
-                                   options_.batch_fsync_interval);
-    if (!status.ok()) return status;
-  }
+storage::Status ShardedResolver::WriteMeta() {
   storage::ByteWriter meta;
   meta.PutRaw(kMetaMagic, sizeof(kMetaMagic));
   meta.PutU32(kMetaVersion);
   meta.PutU32(static_cast<uint32_t>(options_.shards));
-  meta.PutU64(ConfigFingerprint());
+  meta.PutU64(fingerprint_);
   storage::Status status = storage::AtomicWriteFile(MetaPath(), meta.Take());
+  if (status.ok()) meta_version_ = kMetaVersion;
+  return status;
+}
+
+storage::Status ShardedResolver::InitFresh() {
+  for (size_t s = 0; s < options_.shards; ++s) {
+    storage::Status status = storage::MakeDirectory(ShardDir(s));
+    if (!status.ok()) return status;
+    status = shards_[s].wal.Create(WalPath(s, 0), 0, options_.fsync,
+                                   options_.batch_fsync_interval);
+    if (!status.ok()) return status;
+  }
+  return WriteMeta();
+}
+
+storage::Status ShardedResolver::LoadSnapshot() {
+  storage::SnapshotCodec::Reader reader;
+  storage::Status status =
+      reader.Open(SnapshotPath(generation_), fingerprint_, {});
   if (!status.ok()) return status;
-  return storage::SyncDirectory(options_.data_dir);
+  const storage::Status mismatch(
+      storage::StorageErrc::kConfigMismatch,
+      "serve snapshot was written under a different configuration");
+  auto corrupt = [](const std::string& detail) {
+    return storage::Status(storage::StorageErrc::kCorruptSection, detail);
+  };
+  if (reader.op_count() != generation_) return mismatch;
+
+  std::span<const uint8_t> bytes;
+  status = reader.Bytes(kServeManifest, &bytes);
+  if (!status.ok()) return status;
+  storage::ByteReader manifest(bytes.data(), bytes.size());
+  if (manifest.GetU32() != options_.shards) return mismatch;
+  uint64_t rows = manifest.GetU64();
+  if (manifest.failed() || rows > manifest.remaining() / sizeof(uint32_t)) {
+    return corrupt("serve snapshot manifest truncated");
+  }
+  row_of_.resize(rows);
+  manifest.GetRaw(row_of_.data(), rows * sizeof(uint32_t));
+  uint64_t match_count = manifest.GetU64();
+  if (manifest.failed() ||
+      match_count > manifest.remaining() / sizeof(model::IdPair)) {
+    return corrupt("serve snapshot manifest truncated");
+  }
+  matches_.resize(match_count);
+  manifest.GetRaw(matches_.data(), match_count * sizeof(model::IdPair));
+  for (uint64_t* counter :
+       {&comparisons_, &candidates_, &merges_, &batches_, &removed_}) {
+    *counter = manifest.GetU64();
+  }
+  if (!manifest.Exhausted()) return corrupt("malformed serve manifest");
+
+  status = reader.Bytes(kServeVocabulary, &bytes);
+  if (!status.ok()) return status;
+  storage::ByteReader vocabulary(bytes.data(), bytes.size());
+  uint64_t tokens = vocabulary.GetU64();
+  if (!vocabulary.failed() && tokens <= bytes.size()) {
+    vocabulary_.Reserve(tokens);
+  }
+  for (uint64_t i = 0; i < tokens && !vocabulary.failed(); ++i) {
+    vocabulary_.Intern(vocabulary.GetString());
+  }
+  if (!vocabulary.Exhausted() || vocabulary_.size() != tokens) {
+    return corrupt("malformed serve vocabulary");
+  }
+
+  // The shards are independent: restore them on the executor.
+  std::vector<storage::Status> restored(options_.shards);
+  auto restore = [&](size_t s) {
+    Shard& shard = shards_[s];
+    if (reader.HasSignatures(ShardTag(s)) != shard.signatures.has_value()) {
+      restored[s] = mismatch;
+      return;
+    }
+    storage::Status result = reader.RestoreStore(ShardTag(s), &shard.store);
+    if (result.ok() && shard.signatures.has_value()) {
+      result = reader.RestoreSignatures(ShardTag(s), &*shard.signatures);
+    }
+    if (result.ok()) {
+      result = reader.RestoreTokenIndex(ShardTag(s), &token_shards_[s]);
+    }
+    restored[s] = std::move(result);
+  };
+  core::ScopedParallelism affinity(options_.shards);
+  core::Executor::Shared().ParallelFor(options_.shards, restore);
+  for (const storage::Status& result : restored) {
+    if (!result.ok()) return result;
+  }
+  // The forest is the closure of matches_; the next call rebuilds it.
+  forest_dirty_ = true;
+  osn_next_ = generation_;
+  return storage::Status::Ok();
 }
 
 storage::Status ShardedResolver::RecoverExisting() {
@@ -680,23 +933,47 @@ storage::Status ShardedResolver::RecoverExisting() {
                            "serve-meta is not a weber serve manifest");
   }
   uint32_t version = meta.GetU32();
-  if (version != kMetaVersion) {
+  if (version != 1 && version != kMetaVersion) {
     return storage::Status(storage::StorageErrc::kBadVersion,
                            "serve-meta version " + std::to_string(version));
   }
+  meta_version_ = version;
   uint32_t shards = meta.GetU32();
   uint64_t fingerprint = meta.GetU64();
   if (meta.failed() || !meta.Exhausted()) {
     return storage::Status(storage::StorageErrc::kCorruptHeader,
                            "serve-meta truncated");
   }
-  if (shards != options_.shards || fingerprint != ConfigFingerprint()) {
+  if (shards != options_.shards || fingerprint != fingerprint_) {
     return storage::Status(
         storage::StorageErrc::kConfigMismatch,
         "serve-meta was written under a different configuration");
   }
 
-  // Decode every shard's WAL.
+  // The newest committed snapshot names the generation; a temp file is a
+  // checkpoint that never reached its rename.
+  std::vector<std::string> names;
+  status = storage::ListDirectory(options_.data_dir, &names);
+  if (!status.ok()) return status;
+  std::vector<uint64_t> snapshots;
+  for (const std::string& name : names) {
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
+      status = storage::RemoveFile(options_.data_dir + "/" + name);
+      if (!status.ok()) return status;
+    } else if (auto generation = ParseGeneration(name, "serve-snapshot-")) {
+      snapshots.push_back(*generation);
+    }
+  }
+  generation_ = 0;
+  if (!snapshots.empty()) {
+    generation_ = *std::max_element(snapshots.begin(), snapshots.end());
+    status = LoadSnapshot();
+    if (!status.ok()) return status;
+  }
+
+  // Decode every shard's wal-G. A shard may lack it only when the crash
+  // hit between the snapshot rename and its rotation — the snapshot then
+  // holds everything, and recovery starts the WAL afresh.
   struct DecodedRecord {
     uint64_t osn = 0;
     uint64_t mask = 0;
@@ -707,18 +984,44 @@ storage::Status ShardedResolver::RecoverExisting() {
     uint64_t frame_bytes = 0;
   };
   struct ShardLog {
+    bool present = false;
     std::vector<DecodedRecord> records;
     uint64_t good_size = 0;
     uint64_t file_size = 0;
+    std::vector<uint64_t> stale;  // Older WAL generations.
   };
   std::vector<ShardLog> logs(options_.shards);
   for (size_t s = 0; s < options_.shards; ++s) {
-    storage::WriteAheadLog::Contents contents;
-    status = storage::WriteAheadLog::Read(WalPath(s), &contents);
-    if (!status.ok()) return status;
     ShardLog& log = logs[s];
+    status = storage::ListDirectory(ShardDir(s), &names);
+    if (!status.ok()) return status;
+    for (const std::string& name : names) {
+      auto generation = ParseGeneration(name, "wal-");
+      if (!generation.has_value()) continue;
+      if (*generation > generation_) {
+        return WalCorrupt("WAL generation " + std::to_string(*generation) +
+                       " in shard " + std::to_string(s) +
+                       " has no matching snapshot");
+      }
+      if (*generation < generation_) {
+        log.stale.push_back(*generation);
+      } else {
+        log.present = true;
+      }
+    }
+    if (!log.present) continue;
+    storage::WriteAheadLog::Contents contents;
+    status = storage::WriteAheadLog::Read(WalPath(s, generation_), &contents);
+    if (!status.ok()) return status;
+    if (contents.good_size > 0 && contents.base_op != generation_) {
+      return WalCorrupt("WAL base osn " + std::to_string(contents.base_op) +
+                     " in shard " + std::to_string(s) +
+                     " does not extend snapshot " +
+                     std::to_string(generation_));
+    }
     log.good_size = contents.good_size;
     log.file_size = contents.good_size + contents.torn_bytes;
+    torn_tail_bytes_ += contents.torn_bytes;
     uint64_t previous_osn = 0;
     bool first = true;
     for (const storage::WriteAheadLog::Record& record : contents.records) {
@@ -739,20 +1042,17 @@ storage::Status ShardedResolver::RecoverExisting() {
       } else if (record.type == kServeRemove) {
         decoded.remove_id = reader.GetU32();
       } else {
-        return storage::Status(storage::StorageErrc::kWalCorrupt,
-                               "unknown serve WAL record type " +
-                                   std::to_string(record.type));
+        return WalCorrupt("unknown serve WAL record type " +
+                       std::to_string(record.type));
       }
       if (reader.failed() || !reader.Exhausted()) {
-        return storage::Status(storage::StorageErrc::kWalCorrupt,
-                               "undecodable serve WAL record in shard " +
-                                   std::to_string(s));
+        return WalCorrupt("undecodable serve WAL record in shard " +
+                       std::to_string(s));
       }
       if ((decoded.mask & (uint64_t{1} << s)) == 0 ||
           (!first && decoded.osn <= previous_osn)) {
-        return storage::Status(storage::StorageErrc::kWalCorrupt,
-                               "inconsistent osn sequence in shard " +
-                                   std::to_string(s));
+        return WalCorrupt("inconsistent osn sequence in shard " +
+                       std::to_string(s));
       }
       first = false;
       previous_osn = decoded.osn;
@@ -763,7 +1063,8 @@ storage::Status ShardedResolver::RecoverExisting() {
   // Group the records by osn and prove each batch complete: every shard
   // named in the participant mask contributed its record. An incomplete
   // batch is legal only as the global tail (the crash hit mid-batch; the
-  // op never acked) — anywhere else the log is corrupt.
+  // op never acked) — anywhere else the log is corrupt. Records below the
+  // generation are already folded into the snapshot.
   struct PendingOp {
     uint64_t mask = 0;
     uint64_t seen = 0;
@@ -775,15 +1076,15 @@ storage::Status ShardedResolver::RecoverExisting() {
   std::map<uint64_t, PendingOp> ops;
   for (size_t s = 0; s < options_.shards; ++s) {
     for (DecodedRecord& record : logs[s].records) {
+      if (record.osn < generation_) continue;
       PendingOp& op = ops[record.osn];
       if (op.seen == 0) {
         op.mask = record.mask;
         op.type = record.type;
         op.remove_id = record.remove_id;
       } else if (op.mask != record.mask || op.type != record.type) {
-        return storage::Status(storage::StorageErrc::kWalCorrupt,
-                               "disagreeing records for osn " +
-                                   std::to_string(record.osn));
+        return WalCorrupt("disagreeing records for osn " +
+                       std::to_string(record.osn));
       }
       op.seen |= uint64_t{1} << s;
       for (auto& entity : record.entities) {
@@ -793,27 +1094,27 @@ storage::Status ShardedResolver::RecoverExisting() {
   }
   uint64_t dropped_osn = 0;
   bool have_dropped = false;
-  uint64_t expected_osn = 0;
+  uint64_t expected_osn = generation_;
   for (auto& [osn, op] : ops) {
     if (osn != expected_osn) {
-      return storage::Status(storage::StorageErrc::kWalCorrupt,
-                             "osn gap at " + std::to_string(osn));
+      return WalCorrupt("osn gap at " + std::to_string(osn));
     }
     ++expected_osn;
     if (op.seen == op.mask) continue;
     if (osn != ops.rbegin()->first) {
-      return storage::Status(storage::StorageErrc::kWalCorrupt,
-                             "incomplete batch at interior osn " +
-                                 std::to_string(osn));
+      return WalCorrupt("incomplete batch at interior osn " +
+                     std::to_string(osn));
     }
     dropped_osn = osn;
     have_dropped = true;
   }
 
-  // Replay the complete prefix in osn order through the normal ingest
+  // Replay the complete suffix in osn order through the normal ingest
   // path (logging suppressed), reassigning the identical gids.
   for (auto& [osn, op] : ops) {
     if (have_dropped && osn == dropped_osn) break;
+    replayed_records_ += static_cast<uint64_t>(std::popcount(op.mask));
+    osn_next_ = osn;
     if (op.type == kServeIngest) {
       std::sort(op.entities.begin(), op.entities.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -823,37 +1124,47 @@ storage::Status ShardedResolver::RecoverExisting() {
       for (size_t i = 0; i < op.entities.size(); ++i) {
         if (op.entities[i].first !=
             next + static_cast<model::EntityId>(i)) {
-          return storage::Status(storage::StorageErrc::kWalCorrupt,
-                                 "non-contiguous gids at osn " +
-                                     std::to_string(osn));
+          return WalCorrupt("non-contiguous gids at osn " + std::to_string(osn));
         }
         replay_batch.push_back(std::move(op.entities[i].second));
       }
-      osn_next_ = osn;
       IngestLocked(std::move(replay_batch), /*log=*/false);
-    } else {
-      osn_next_ = osn;
-      if (!RemoveLocked(op.remove_id, /*log=*/false)) {
-        return storage::Status(storage::StorageErrc::kWalCorrupt,
-                               "replayed remove of dead id at osn " +
-                                   std::to_string(osn));
-      }
+    } else if (!RemoveLocked(op.remove_id, /*log=*/false)) {
+      return WalCorrupt("replayed remove of dead id at osn " +
+                     std::to_string(osn));
     }
   }
 
   // Reopen the WALs for appending, truncating away both torn tails and
   // the dropped incomplete batch's records (each is by construction the
-  // last record of its shard's log).
+  // last record of its shard's log); a missing or headerless wal-G starts
+  // afresh. Older generations are garbage once this one recovered.
   for (size_t s = 0; s < options_.shards; ++s) {
     ShardLog& log = logs[s];
     uint64_t good = log.good_size;
     if (have_dropped && !log.records.empty() &&
         log.records.back().osn == dropped_osn) {
       good -= log.records.back().frame_bytes;
+      torn_tail_bytes_ += log.records.back().frame_bytes;
     }
-    status = shards_[s].wal.OpenExisting(WalPath(s), good, log.file_size,
-                                         options_.fsync,
-                                         options_.batch_fsync_interval);
+    if (log.present && good > 0) {
+      status = shards_[s].wal.OpenExisting(
+          WalPath(s, generation_), good, log.file_size, options_.fsync,
+          options_.batch_fsync_interval);
+    } else {
+      status = shards_[s].wal.Create(WalPath(s, generation_), generation_,
+                                     options_.fsync,
+                                     options_.batch_fsync_interval);
+    }
+    if (!status.ok()) return status;
+    for (uint64_t stale : log.stale) {
+      status = storage::RemoveFile(WalPath(s, stale));
+      if (!status.ok()) return status;
+    }
+  }
+  for (uint64_t snapshot : snapshots) {
+    if (snapshot == generation_) continue;
+    status = storage::RemoveFile(SnapshotPath(snapshot));
     if (!status.ok()) return status;
   }
   return storage::Status::Ok();

@@ -31,6 +31,15 @@ class MetricsRegistry;
 
 namespace weber::serve {
 
+/// The points inside ShardedResolver::Checkpoint() between which a crash
+/// leaves a distinct directory state (see ShardedResolverOptions::
+/// checkpoint_hook).
+enum class CheckpointStage {
+  kSnapshotWritten,  // serve-snapshot-G.tmp complete, not yet renamed.
+  kSnapshotRenamed,  // serve-snapshot-G committed; shards on the old WALs.
+  kWalsRotated,      // Every shard on wal-G; old generation not unlinked.
+};
+
 /// Configuration of a ShardedResolver. Merge propagation is a
 /// single-shard feature (it forgoes the replay exactness sharding is
 /// built on) and is intentionally absent.
@@ -58,6 +67,12 @@ struct ShardedResolverOptions {
   std::string data_dir;
   storage::FsyncPolicy fsync = storage::FsyncPolicy::kBatch;
   uint64_t batch_fsync_interval = 64;
+  /// Write a snapshot generation every N mutations (the meaning of
+  /// storage::DurabilityOptions::snapshot_every); 0 = only explicit
+  /// Checkpoint() calls.
+  uint64_t snapshot_every = 0;
+  /// Called at each CheckpointStage; crash tests kill the process there.
+  std::function<void(CheckpointStage)> checkpoint_hook;
 
   /// Metrics sink. When null the ambient obs::Current() registry of the
   /// calling thread is used (and may itself be null = detached).
@@ -170,9 +185,21 @@ class ShardedResolver {
   /// preserved — the sharded analogue of store().collection().
   model::EntityCollection CollectionSnapshot() const;
 
-  /// Forces every shard WAL to disk (checkpoint barrier). Ok when not
+  /// Folds the WALs into a snapshot generation G = osn(): writes
+  /// `serve-snapshot-G` (every shard's store, signature arenas and token
+  /// index, plus the shared vocabulary and the global manifest) with one
+  /// atomic rename as the commit point, rotates each shard to
+  /// `shard-NN/wal-G`, then unlinks the previous generation. A no-op sync
+  /// when nothing was mutated since the last generation; Ok when not
   /// durable.
   storage::Status Checkpoint();
+
+  /// Forces every shard WAL to disk (the shutdown barrier). Ok when not
+  /// durable.
+  storage::Status Sync();
+
+  /// The osn watermark of the snapshot the WALs extend (0 = none).
+  uint64_t generation() const { return generation_; }
 
  private:
   struct Shard {
@@ -201,9 +228,15 @@ class ShardedResolver {
   storage::Status RecoverOrInit();
   storage::Status InitFresh();
   storage::Status RecoverExisting();
+  storage::Status LoadSnapshot();
+  storage::Status WriteMeta();
+  void MaybeCheckpoint();
+  void Hook(CheckpointStage stage) const;
+  void PublishWalMetrics();
   uint64_t ConfigFingerprint() const;
   std::string ShardDir(size_t shard) const;
-  std::string WalPath(size_t shard) const;
+  std::string WalPath(size_t shard, uint64_t generation) const;
+  std::string SnapshotPath(uint64_t generation) const;
   std::string MetaPath() const;
 
   matching::ThresholdMatcher matcher_;
@@ -235,6 +268,16 @@ class ShardedResolver {
 
   bool durable_ = false;
   storage::Status recovery_status_;
+  uint64_t fingerprint_ = 0;
+  uint32_t meta_version_ = 0;
+  uint64_t generation_ = 0;
+  // Recovery totals, published once recovery succeeds.
+  uint64_t replayed_records_ = 0;
+  uint64_t torn_tail_bytes_ = 0;
+  // WAL totals (summed over shards) already published as counters.
+  uint64_t published_wal_records_ = 0;
+  uint64_t published_wal_bytes_ = 0;
+  uint64_t published_wal_fsyncs_ = 0;
 };
 
 }  // namespace weber::serve

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace weber::serve {
 
@@ -41,6 +42,15 @@ class SharedVocabulary {
   }
 
   size_t size() const { return map_.size(); }
+
+  /// Every token, indexed by its id (snapshot encoding: interning the
+  /// list in order into an empty vocabulary reproduces the ids).
+  std::vector<const std::string*> ById() const {
+    std::vector<const std::string*> by_id(map_.size());
+    for (const auto& [token, id] : map_) by_id[id] = &token;
+    return by_id;
+  }
+  void Reserve(size_t count) { map_.reserve(count); }
 
  private:
   std::unordered_map<std::string, uint32_t> map_;

@@ -75,6 +75,7 @@ class ByteReader {
     return value;
   }
   void GetRaw(void* out, size_t size) {
+    if (size == 0) return;  // `out` may be an empty vector's null data().
     if (failed_ || size > size_ - offset_) {
       failed_ = true;
       std::memset(out, 0, size);

@@ -310,9 +310,16 @@ void DurableResolver::MaybeCheckpoint() {
 Status DurableResolver::Checkpoint() {
   if (!healthy()) return recovery_status_;
   util::Timer timer;
-  std::vector<uint8_t> image =
-      SnapshotCodec::Encode(resolver_, fingerprint_, op_count_);
-  Status status = AtomicWriteFile(SnapshotPath(op_count_), image);
+  // Streamed section by section into the temp file: the encode never holds
+  // a second, file-sized copy of the state.
+  AtomicFile file;
+  SnapshotCodec::WriteInfo written;
+  Status status = file.Open(SnapshotPath(op_count_));
+  if (status.ok()) {
+    status = SnapshotCodec::Write(resolver_, fingerprint_, op_count_, &file,
+                                  &written);
+  }
+  if (status.ok()) status = file.Commit();
   if (!status.ok()) return status;
   uint64_t previous = generation_;
   generation_ = op_count_;
@@ -329,14 +336,11 @@ Status DurableResolver::Checkpoint() {
       options_.metrics != nullptr ? options_.metrics : obs::Current();
   if (registry != nullptr) {
     registry->GetCounter("weber.storage.snapshots_written").Increment();
-    registry->GetCounter("weber.storage.snapshot.bytes").Add(image.size());
+    registry->GetCounter("weber.storage.snapshot.bytes").Add(written.bytes);
     registry->GetHistogram("weber.storage.snapshot.write_seconds")
         .Record(timer.ElapsedSeconds());
-    uint32_t digest = 0;
-    if (SnapshotCodec::ImageDigest(image, &digest).ok()) {
-      registry->GetGauge("weber.storage.state_digest")
-          .Set(static_cast<double>(digest));
-    }
+    registry->GetGauge("weber.storage.state_digest")
+        .Set(static_cast<double>(written.digest));
   }
   PublishWalMetrics();
   return Status::Ok();

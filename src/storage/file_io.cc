@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -104,25 +105,64 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
   return Status::Ok();
 }
 
-Status AtomicWriteFile(const std::string& path,
-                       std::span<const uint8_t> bytes) {
+AtomicFile::~AtomicFile() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    ::unlink((path_ + ".tmp").c_str());
+  }
+}
+
+Status AtomicFile::Open(const std::string& path) {
+  if (fd_ >= 0) {
+    return Status(StorageErrc::kIoError, "atomic file already open");
+  }
   std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return Errno("open", tmp);
-  Status status = WriteAll(fd, bytes, tmp);
-  if (status.ok() && ::fsync(fd) != 0) status = Errno("fsync", tmp);
-  if (::close(fd) != 0 && status.ok()) status = Errno("close", tmp);
+  fd_ = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) return Errno("open", tmp);
+  path_ = path;
+  return Status::Ok();
+}
+
+Status AtomicFile::Append(std::span<const uint8_t> bytes) {
+  if (fd_ < 0) return Status(StorageErrc::kIoError, "append on closed file");
+  return WriteAll(fd_, bytes, path_ + ".tmp");
+}
+
+Status AtomicFile::AppendZeros(size_t count) {
+  static constexpr uint8_t kZeros[4096] = {};
+  while (count > 0) {
+    size_t n = std::min(count, sizeof(kZeros));
+    Status status = Append({kZeros, n});
+    if (!status.ok()) return status;
+    count -= n;
+  }
+  return Status::Ok();
+}
+
+Status AtomicFile::Commit() {
+  if (fd_ < 0) return Status(StorageErrc::kIoError, "commit on closed file");
+  std::string tmp = path_ + ".tmp";
+  Status status = Status::Ok();
+  if (::fsync(fd_) != 0) status = Errno("fsync", tmp);
+  if (::close(fd_) != 0 && status.ok()) status = Errno("close", tmp);
+  fd_ = -1;
+  if (status.ok() && ::rename(tmp.c_str(), path_.c_str()) != 0) {
+    status = Errno("rename", tmp);
+  }
   if (!status.ok()) {
     ::unlink(tmp.c_str());
     return status;
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status rename_status = Errno("rename", tmp);
-    ::unlink(tmp.c_str());
-    return rename_status;
-  }
-  return SyncDirectory(ParentDirOf(path));
+  return SyncDirectory(ParentDirOf(path_));
+}
+
+Status AtomicWriteFile(const std::string& path,
+                       std::span<const uint8_t> bytes) {
+  AtomicFile file;
+  Status status = file.Open(path);
+  if (status.ok()) status = file.Append(bytes);
+  if (status.ok()) status = file.Commit();
+  return status;
 }
 
 Status AppendFile::Open(const std::string& path) {

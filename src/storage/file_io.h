@@ -42,9 +42,30 @@ class MappedFile {
 /// Reads a whole file into memory (the eager snapshot-load path).
 Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 
-/// Durably replaces `path`: writes to `path.tmp`, fsyncs the file, renames
-/// over `path`, fsyncs the parent directory. A crash at any point leaves
-/// either the old file or the new one, never a torn mix.
+/// A file streamed piece by piece into `path.tmp` that replaces `path`
+/// only at Commit(): fsync the file, rename over `path`, fsync the parent
+/// directory. A crash at any point leaves either the old file or the new
+/// one, never a torn mix. Destroying an uncommitted file unlinks the temp.
+class AtomicFile {
+ public:
+  AtomicFile() = default;
+  ~AtomicFile();
+  AtomicFile(const AtomicFile&) = delete;
+  AtomicFile& operator=(const AtomicFile&) = delete;
+
+  /// Creates (truncating) `path.tmp` for writing.
+  Status Open(const std::string& path);
+  Status Append(std::span<const uint8_t> bytes);
+  /// Appends `count` zero bytes (section padding).
+  Status AppendZeros(size_t count);
+  Status Commit();
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+};
+
+/// Durably replaces `path` with `bytes` (an AtomicFile of one piece).
 Status AtomicWriteFile(const std::string& path,
                        std::span<const uint8_t> bytes);
 

@@ -13,6 +13,36 @@
 #include "util/check.h"
 
 namespace weber::storage {
+
+struct SectionEntry {
+  uint32_t kind = 0;
+  uint32_t crc = 0;
+  uint64_t offset = 0;
+  uint64_t size = 0;
+};
+
+struct ParsedImage {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+  uint64_t config_fingerprint = 0;
+  uint64_t op_count = 0;
+  std::vector<SectionEntry> sections;
+  // Keepalive for borrowed arenas (null on the eager path).
+  std::shared_ptr<MappedFile> mapping;
+  // Backing bytes of the eager path.
+  std::vector<uint8_t> bytes;
+
+  const SectionEntry* Find(uint32_t kind) const {
+    for (const SectionEntry& section : sections) {
+      if (section.kind == kind) return &section;
+    }
+    return nullptr;
+  }
+  const uint8_t* SectionData(const SectionEntry& section) const {
+    return data + section.offset;
+  }
+};
+
 namespace {
 
 constexpr uint64_t kSnapshotMagic = 0x504E535245424557ull;  // "WEBERSNP"
@@ -36,10 +66,27 @@ enum SectionKind : uint32_t {
   kSigAttrSlots = 11,
   kVocabBlob = 12,
   kVocabOffsets = 13,
+  kTokenIndex = 14,  // Composed images only (Writer::AddTokenIndex).
 };
 
+// A composed image keeps per-component copies apart by tagging the kind's
+// high bits; tag 0 leaves the single-store image's kinds as they were.
+constexpr uint32_t kTagShift = 16;
+
+uint32_t Tagged(uint32_t kind, uint32_t tag) {
+  return kind | (tag << kTagShift);
+}
+
+uint32_t BaseKind(uint32_t kind) {
+  return kind & ((uint32_t{1} << kTagShift) - 1);
+}
+
+bool IsArena(uint32_t kind) {
+  return BaseKind(kind) >= kSigEntries && BaseKind(kind) <= kVocabOffsets;
+}
+
 const char* SectionName(uint32_t kind) {
-  switch (kind) {
+  switch (BaseKind(kind)) {
     case kStoreManifest: return "store-manifest";
     case kResolverManifest: return "resolver-manifest";
     case kSigManifest: return "signature-manifest";
@@ -53,22 +100,10 @@ const char* SectionName(uint32_t kind) {
     case kSigAttrSlots: return "attribute-slots";
     case kVocabBlob: return "vocabulary-blob";
     case kVocabOffsets: return "vocabulary-offsets";
+    case kTokenIndex: return "token-index";
   }
   return "unknown";
 }
-
-struct SectionEntry {
-  uint32_t kind = 0;
-  uint32_t crc = 0;
-  uint64_t offset = 0;
-  uint64_t size = 0;
-};
-
-struct SectionSpec {
-  uint32_t kind = 0;
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-};
 
 size_t AlignUp(size_t value, size_t alignment) {
   return (value + alignment - 1) / alignment * alignment;
@@ -78,81 +113,9 @@ static_assert(std::is_trivially_copyable_v<model::IdPair> &&
                   sizeof(model::IdPair) == 8,
               "IdPair is framed raw in the resolver manifest");
 
-std::vector<uint8_t> AssembleImage(const std::vector<SectionSpec>& sections,
-                                   uint64_t config_fingerprint,
-                                   uint64_t op_count) {
-  size_t header_len =
-      kHeaderFixedBytes + sections.size() * kSectionEntryBytes;
-  std::vector<SectionEntry> directory(sections.size());
-  size_t offset = AlignUp(header_len, kPageSize);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    directory[i].kind = sections[i].kind;
-    directory[i].crc = Crc32c(sections[i].data, sections[i].size);
-    directory[i].offset = offset;
-    directory[i].size = sections[i].size;
-    offset = AlignUp(offset + sections[i].size, kPageSize);
-  }
-  size_t file_size = sections.empty()
-                         ? header_len
-                         : directory.back().offset + directory.back().size;
-
-  std::vector<uint8_t> image(file_size, 0);
-  auto put = [&image](size_t at, const void* data, size_t size) {
-    std::memcpy(image.data() + at, data, size);
-  };
-  uint64_t magic = kSnapshotMagic;
-  uint32_t version = SnapshotCodec::kFormatVersion;
-  uint64_t size64 = file_size;
-  uint32_t section_count = static_cast<uint32_t>(sections.size());
-  put(0, &magic, 8);
-  put(8, &version, 4);
-  // Header CRC at [12, 16) is filled in last.
-  put(16, &config_fingerprint, 8);
-  put(24, &op_count, 8);
-  put(32, &size64, 8);
-  put(40, &section_count, 4);
-  for (size_t i = 0; i < directory.size(); ++i) {
-    size_t at = kHeaderFixedBytes + i * kSectionEntryBytes;
-    put(at, &directory[i].kind, 4);
-    put(at + 4, &directory[i].crc, 4);
-    put(at + 8, &directory[i].offset, 8);
-    put(at + 16, &directory[i].size, 8);
-  }
-  uint32_t header_crc = Crc32c(image.data(), header_len);
-  put(12, &header_crc, 4);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    if (sections[i].size != 0) {
-      put(directory[i].offset, sections[i].data, sections[i].size);
-    }
-  }
-  return image;
-}
-
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
-
-struct ParsedImage {
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-  uint64_t config_fingerprint = 0;
-  uint64_t op_count = 0;
-  std::vector<SectionEntry> sections;
-  // Keepalive for borrowed arenas (null on the eager path).
-  std::shared_ptr<MappedFile> mapping;
-  // Backing bytes of the eager path.
-  std::vector<uint8_t> bytes;
-
-  const SectionEntry* Find(uint32_t kind) const {
-    for (const SectionEntry& section : sections) {
-      if (section.kind == kind) return &section;
-    }
-    return nullptr;
-  }
-  const uint8_t* SectionData(const SectionEntry& section) const {
-    return data + section.offset;
-  }
-};
 
 Status CorruptSection(uint32_t kind, const std::string& detail) {
   return Status(StorageErrc::kCorruptSection,
@@ -231,10 +194,7 @@ Status VerifySection(const ParsedImage& image, const SectionEntry& section) {
 
 Status VerifyAll(const ParsedImage& image, bool verify_arenas) {
   for (const SectionEntry& section : image.sections) {
-    bool manifest = section.kind == kStoreManifest ||
-                    section.kind == kResolverManifest ||
-                    section.kind == kSigManifest || section.kind == kAnnex;
-    if (!manifest && !verify_arenas) continue;
+    if (IsArena(section.kind) && !verify_arenas) continue;
     Status status = VerifySection(image, section);
     if (!status.ok()) return status;
   }
@@ -257,8 +217,9 @@ Status OpenImage(const std::string& path, bool mapped, ParsedImage* image) {
 }
 
 /// Restores one arena: borrowed straight from the mapping when the load
-/// is mapped, copied out otherwise. The element count must divide evenly
-/// or the section is corrupt.
+/// is mapped, copied out otherwise. An empty arena never borrows (it would
+/// pin the whole mapping for nothing). The element count must divide
+/// evenly or the section is corrupt.
 template <typename T>
 Status RestoreArena(const ParsedImage& image, uint32_t kind,
                     util::ArenaVec<T>* arena) {
@@ -269,12 +230,13 @@ Status RestoreArena(const ParsedImage& image, uint32_t kind,
   }
   size_t count = section->size / sizeof(T);
   const uint8_t* data = image.SectionData(*section);
-  if (image.mapping != nullptr) {
+  if (image.mapping != nullptr && count > 0) {
     *arena = util::ArenaVec<T>::Borrowed(reinterpret_cast<const T*>(data),
                                          count, image.mapping);
   } else {
     std::vector<T> owned(count);
-    std::memcpy(owned.data(), data, section->size);
+    // An empty section leaves owned.data() null, which memcpy must not see.
+    if (count > 0) std::memcpy(owned.data(), data, section->size);
     arena->Assign(std::move(owned));
   }
   return Status::Ok();
@@ -288,11 +250,10 @@ struct SigManifest {
   uint64_t bitset_chunks = 0;
 };
 
-Status DecodeSigManifest(const ParsedImage& image, SigManifest* manifest) {
-  const SectionEntry* section = image.Find(kSigManifest);
-  if (section == nullptr) {
-    return CorruptSection(kSigManifest, "section missing");
-  }
+Status DecodeSigManifest(const ParsedImage& image, uint32_t kind,
+                         SigManifest* manifest) {
+  const SectionEntry* section = image.Find(kind);
+  if (section == nullptr) return CorruptSection(kind, "section missing");
   ByteReader in(image.SectionData(*section), section->size);
   manifest->vocab_count = in.GetU64();
   uint64_t value_count = in.GetU64();
@@ -303,20 +264,16 @@ Status DecodeSigManifest(const ParsedImage& image, SigManifest* manifest) {
   manifest->array_chunks = in.GetU64();
   manifest->bitset_chunks = in.GetU64();
   if (!in.Exhausted()) {
-    return CorruptSection(kSigManifest, "malformed signature manifest");
+    return CorruptSection(kind, "malformed signature manifest");
   }
   return Status::Ok();
 }
 
-Status DecodeResolverManifest(const ParsedImage& image,
+Status DecodeResolverManifest(std::span<const uint8_t> bytes,
                               std::vector<model::IdPair>* matches,
                               uint64_t counters[6],
                               std::vector<std::string>* purged) {
-  const SectionEntry* section = image.Find(kResolverManifest);
-  if (section == nullptr) {
-    return CorruptSection(kResolverManifest, "section missing");
-  }
-  ByteReader in(image.SectionData(*section), section->size);
+  ByteReader in(bytes.data(), bytes.size());
   uint64_t match_count = in.GetU64();
   if (in.failed() || match_count * sizeof(model::IdPair) > in.remaining()) {
     return CorruptSection(kResolverManifest, "truncated match list");
@@ -334,11 +291,9 @@ Status DecodeResolverManifest(const ParsedImage& image,
   return Status::Ok();
 }
 
-Status DecodeAnnex(const ParsedImage& image,
+Status DecodeAnnex(std::span<const uint8_t> bytes,
                    incremental::DeltaIndexStats* stats) {
-  const SectionEntry* section = image.Find(kAnnex);
-  if (section == nullptr) return CorruptSection(kAnnex, "section missing");
-  ByteReader in(image.SectionData(*section), section->size);
+  ByteReader in(bytes.data(), bytes.size());
   stats->updates = in.GetU64();
   stats->full_builds = in.GetU64();
   stats->purged_tokens = in.GetU64();
@@ -356,13 +311,6 @@ Status DecodeAnnex(const ParsedImage& image,
 // ---------------------------------------------------------------------------
 
 struct SnapshotCodec::Impl {
-  template <typename T>
-  static SectionSpec ArenaSection(uint32_t kind,
-                                  const util::ArenaVec<T>& arena) {
-    return {kind, reinterpret_cast<const uint8_t*>(arena.data()),
-            arena.size() * sizeof(T)};
-  }
-
   static void EncodeStoreManifest(const incremental::EntityStore& store,
                                   ByteWriter* out) {
     const model::EntityCollection& collection = store.collection_;
@@ -396,12 +344,10 @@ struct SnapshotCodec::Impl {
     out->PutU64(store.updates_);
   }
 
-  static Status DecodeStoreManifest(const ParsedImage& image,
+  static Status DecodeStoreManifest(const ParsedImage& image, uint32_t kind,
                                     incremental::EntityStore* store) {
-    const SectionEntry* section = image.Find(kStoreManifest);
-    if (section == nullptr) {
-      return CorruptSection(kStoreManifest, "section missing");
-    }
+    const SectionEntry* section = image.Find(kind);
+    if (section == nullptr) return CorruptSection(kind, "section missing");
     ByteReader in(image.SectionData(*section), section->size);
     uint64_t count = in.GetU64();
     std::vector<model::EntityDescription> descriptions;
@@ -412,14 +358,14 @@ struct SnapshotCodec::Impl {
     uint8_t setting = in.GetU8();
     uint64_t split = in.GetU64();
     if (in.failed()) {
-      return CorruptSection(kStoreManifest, "truncated description table");
+      return CorruptSection(kind, "truncated description table");
     }
     if (setting == 0) {
       store->collection_ =
           model::EntityCollection::Dirty(std::move(descriptions));
     } else {
       if (split > descriptions.size()) {
-        return CorruptSection(kStoreManifest, "split past collection end");
+        return CorruptSection(kind, "split past collection end");
       }
       std::vector<model::EntityDescription> second(
           std::make_move_iterator(descriptions.begin() +
@@ -446,7 +392,7 @@ struct SnapshotCodec::Impl {
     store->live_ = in.GetU64();
     store->updates_ = in.GetU64();
     if (!in.Exhausted()) {
-      return CorruptSection(kStoreManifest, "malformed store manifest");
+      return CorruptSection(kind, "malformed store manifest");
     }
     return Status::Ok();
   }
@@ -502,34 +448,26 @@ struct SnapshotCodec::Impl {
   /// Restores the signature-engine state of `store` in place (options,
   /// provider and collection pointer untouched — the store object was
   /// configured by its owner; the snapshot only replaces its contents).
-  static Status RestoreSignatures(const ParsedImage& image,
+  static Status RestoreSignatures(const ParsedImage& image, uint32_t tag,
                                   const LoadOptions& options,
                                   matching::SignatureStore* store) {
     SigManifest manifest;
-    Status status = DecodeSigManifest(image, &manifest);
+    Status status =
+        DecodeSigManifest(image, Tagged(kSigManifest, tag), &manifest);
     if (!status.ok()) return status;
 
-    status = RestoreArena(image, kSigEntries, &store->entries_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kSigPostingChunks,
-                          &store->posting_arena_.chunks_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kSigPostingArrays,
-                          &store->posting_arena_.array_values_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kSigPostingBitsets,
-                          &store->posting_arena_.bitset_words_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kSigTokens, &store->tokens_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kSigTfIdf, &store->tfidf_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kSigAttrSlots, &store->attribute_slots_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kVocabBlob, &store->pending_vocab_blob_);
-    if (!status.ok()) return status;
-    status = RestoreArena(image, kVocabOffsets,
-                          &store->pending_vocab_offsets_);
+    auto restore = [&](uint32_t kind, auto* arena) {
+      if (status.ok()) status = RestoreArena(image, Tagged(kind, tag), arena);
+    };
+    restore(kSigEntries, &store->entries_);
+    restore(kSigPostingChunks, &store->posting_arena_.chunks_);
+    restore(kSigPostingArrays, &store->posting_arena_.array_values_);
+    restore(kSigPostingBitsets, &store->posting_arena_.bitset_words_);
+    restore(kSigTokens, &store->tokens_);
+    restore(kSigTfIdf, &store->tfidf_);
+    restore(kSigAttrSlots, &store->attribute_slots_);
+    restore(kVocabBlob, &store->pending_vocab_blob_);
+    restore(kVocabOffsets, &store->pending_vocab_offsets_);
     if (!status.ok()) return status;
 
     store->vocabulary_.clear();
@@ -539,8 +477,8 @@ struct SnapshotCodec::Impl {
     } else {
       if (store->pending_vocab_offsets_.size() !=
           manifest.vocab_count + 1) {
-        return CorruptSection(
-            kVocabOffsets, "offset count does not match vocabulary size");
+        return CorruptSection(Tagged(kVocabOffsets, tag),
+                              "offset count does not match vocabulary size");
       }
       if (options.verify_arenas) {
         const util::ArenaVec<uint32_t>& offsets =
@@ -549,7 +487,7 @@ struct SnapshotCodec::Impl {
             offsets[offsets.size() - 1] !=
                 store->pending_vocab_blob_.size() ||
             !std::is_sorted(offsets.begin(), offsets.end())) {
-          return CorruptSection(kVocabOffsets,
+          return CorruptSection(Tagged(kVocabOffsets, tag),
                                 "offsets not a monotone cover of the blob");
         }
       }
@@ -562,83 +500,359 @@ struct SnapshotCodec::Impl {
         static_cast<size_t>(manifest.bitset_chunks);
     return Status::Ok();
   }
+
+  /// The token index verbatim — postings in token order with their
+  /// not-yet-compacted removed ids, purge marks, the removed set and the
+  /// lifetime counters — so a restored index evolves exactly as the
+  /// original would have.
+  static void EncodeTokenIndex(const incremental::IncrementalTokenIndex& index,
+                               ByteWriter* out) {
+    using Posting = incremental::IncrementalTokenIndex::Posting;
+    std::vector<std::pair<std::string_view, const Posting*>> postings;
+    postings.reserve(index.postings_.size());
+    for (const auto& [token, posting] : index.postings_) {
+      postings.emplace_back(token, &posting);
+    }
+    std::sort(postings.begin(), postings.end());
+    out->PutU64(postings.size());
+    for (const auto& [token, posting] : postings) {
+      out->PutU32(static_cast<uint32_t>(token.size()));
+      out->PutRaw(token.data(), token.size());
+      out->PutU8(posting->purged ? 1 : 0);
+      out->PutU64(posting->entities.size());
+      out->PutRaw(posting->entities.data(),
+                  posting->entities.size() * sizeof(model::EntityId));
+    }
+    std::vector<model::EntityId> removed(index.removed_.begin(),
+                                         index.removed_.end());
+    std::sort(removed.begin(), removed.end());
+    out->PutU64(removed.size());
+    out->PutRaw(removed.data(), removed.size() * sizeof(model::EntityId));
+    out->PutU64(index.stats_.updates);
+    out->PutU64(index.stats_.full_builds);
+    out->PutU64(index.stats_.purged_tokens);
+    out->PutU64(index.stats_.tokens);
+  }
+
+  static Status DecodeTokenIndex(const ParsedImage& image, uint32_t kind,
+                                 incremental::IncrementalTokenIndex* index) {
+    const SectionEntry* section = image.Find(kind);
+    if (section == nullptr) return CorruptSection(kind, "section missing");
+    ByteReader in(image.SectionData(*section), section->size);
+    index->postings_.clear();
+    index->removed_.clear();
+    uint64_t count = in.GetU64();
+    if (!in.failed() && count <= section->size) {
+      index->postings_.reserve(count);
+    }
+    for (uint64_t i = 0; i < count && !in.failed(); ++i) {
+      std::string token = in.GetString();
+      incremental::IncrementalTokenIndex::Posting posting;
+      posting.purged = in.GetU8() != 0;
+      uint64_t size = in.GetU64();
+      if (in.failed() || size > in.remaining() / sizeof(model::EntityId)) {
+        return CorruptSection(kind, "truncated posting");
+      }
+      posting.entities.resize(size);
+      in.GetRaw(posting.entities.data(), size * sizeof(model::EntityId));
+      index->postings_.emplace(std::move(token), std::move(posting));
+    }
+    uint64_t removed = in.GetU64();
+    if (in.failed() || removed > in.remaining() / sizeof(model::EntityId)) {
+      return CorruptSection(kind, "truncated removed set");
+    }
+    std::vector<model::EntityId> ids(removed);
+    in.GetRaw(ids.data(), removed * sizeof(model::EntityId));
+    index->removed_.insert(ids.begin(), ids.end());
+    index->stats_.updates = in.GetU64();
+    index->stats_.full_builds = in.GetU64();
+    index->stats_.purged_tokens = in.GetU64();
+    index->stats_.tokens = static_cast<size_t>(in.GetU64());
+    if (!in.Exhausted()) return CorruptSection(kind, "malformed token index");
+    return Status::Ok();
+  }
 };
+
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Collects an image in memory.
+struct VectorSink {
+  std::vector<uint8_t>* out;
+  void Reserve(size_t size) { out->reserve(size); }
+  Status Put(const uint8_t* data, size_t size) {
+    out->insert(out->end(), data, data + size);
+    return Status::Ok();
+  }
+  Status Zeros(size_t count) {
+    out->resize(out->size() + count, 0);
+    return Status::Ok();
+  }
+};
+
+/// Streams an image into a file, counting its bytes.
+struct FileSink {
+  AtomicFile* file;
+  uint64_t bytes = 0;
+  void Reserve(size_t) {}
+  Status Put(const uint8_t* data, size_t size) {
+    bytes += size;
+    return file->Append({data, size});
+  }
+  Status Zeros(size_t count) {
+    bytes += count;
+    return file->AppendZeros(count);
+  }
+};
+
+}  // namespace
+
+void SnapshotCodec::Writer::AddBytes(uint32_t kind,
+                                     std::vector<uint8_t> bytes) {
+  owned_.push_back(std::move(bytes));
+  sections_.push_back({kind, owned_.back().data(), owned_.back().size()});
+}
+
+void SnapshotCodec::Writer::AddStore(uint32_t tag,
+                                     const incremental::EntityStore& store) {
+  ByteWriter manifest;
+  Impl::EncodeStoreManifest(store, &manifest);
+  AddBytes(Tagged(kStoreManifest, tag), manifest.Take());
+}
+
+void SnapshotCodec::Writer::AddSignatures(
+    uint32_t tag, const matching::SignatureStore& sigs) {
+  const size_t vocab_count = sigs.vocabulary_size();
+  ByteWriter manifest;
+  Impl::EncodeSigManifest(sigs, vocab_count, &manifest);
+  AddBytes(Tagged(kSigManifest, tag), manifest.Take());
+  AddArena(Tagged(kSigEntries, tag), sigs.entries_.data(),
+           sigs.entries_.size());
+  AddArena(Tagged(kSigPostingChunks, tag), sigs.posting_arena_.chunks_.data(),
+           sigs.posting_arena_.chunks_.size());
+  AddArena(Tagged(kSigPostingArrays, tag),
+           sigs.posting_arena_.array_values_.data(),
+           sigs.posting_arena_.array_values_.size());
+  AddArena(Tagged(kSigPostingBitsets, tag),
+           sigs.posting_arena_.bitset_words_.data(),
+           sigs.posting_arena_.bitset_words_.size());
+  AddArena(Tagged(kSigTokens, tag), sigs.tokens_.data(), sigs.tokens_.size());
+  AddArena(Tagged(kSigTfIdf, tag), sigs.tfidf_.data(), sigs.tfidf_.size());
+  AddArena(Tagged(kSigAttrSlots, tag), sigs.attribute_slots_.data(),
+           sigs.attribute_slots_.size());
+  if (!sigs.vocabulary_.empty()) {
+    // Serialize the hash map in id order: ids were assigned in
+    // first-occurrence order, so this is deterministic.
+    std::vector<const std::string*> by_id(sigs.vocabulary_.size());
+    for (const auto& [token, id] : sigs.vocabulary_) by_id[id] = &token;
+    std::vector<uint8_t> blob;
+    std::vector<uint32_t> offsets;
+    offsets.reserve(by_id.size() + 1);
+    offsets.push_back(0);
+    for (const std::string* token : by_id) {
+      blob.insert(blob.end(), token->begin(), token->end());
+      offsets.push_back(static_cast<uint32_t>(blob.size()));
+    }
+    std::vector<uint8_t> offset_bytes(offsets.size() * sizeof(uint32_t));
+    std::memcpy(offset_bytes.data(), offsets.data(), offset_bytes.size());
+    AddBytes(Tagged(kVocabBlob, tag), std::move(blob));
+    AddBytes(Tagged(kVocabOffsets, tag), std::move(offset_bytes));
+  } else if (vocab_count > 0) {
+    // Loaded and never re-interned: the pending blob is already the
+    // id-ordered encoding. Round-tripping it verbatim keeps the digest
+    // stable across load/save cycles.
+    AddArena(Tagged(kVocabBlob, tag), sigs.pending_vocab_blob_.data(),
+             sigs.pending_vocab_blob_.size());
+    AddArena(Tagged(kVocabOffsets, tag), sigs.pending_vocab_offsets_.data(),
+             sigs.pending_vocab_offsets_.size());
+  } else {
+    AddArena<uint8_t>(Tagged(kVocabBlob, tag), nullptr, 0);
+    AddArena<uint8_t>(Tagged(kVocabOffsets, tag), nullptr, 0);
+  }
+}
+
+void SnapshotCodec::Writer::AddTokenIndex(
+    uint32_t tag, const incremental::IncrementalTokenIndex& index) {
+  ByteWriter section;
+  Impl::EncodeTokenIndex(index, &section);
+  AddBytes(Tagged(kTokenIndex, tag), section.Take());
+}
+
+/// Lays the sections out page-aligned after the header and feeds the
+/// header, the padding and each payload to `sink` in file order.
+template <typename Sink>
+Status SnapshotCodec::Writer::Emit(uint64_t config_fingerprint,
+                                   uint64_t op_count, Sink& sink) const {
+  const size_t header_len =
+      kHeaderFixedBytes + sections_.size() * kSectionEntryBytes;
+  std::vector<SectionEntry> directory(sections_.size());
+  size_t offset = AlignUp(header_len, kPageSize);
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    directory[i].kind = sections_[i].kind;
+    directory[i].crc = Crc32c(sections_[i].data, sections_[i].size);
+    directory[i].offset = offset;
+    directory[i].size = sections_[i].size;
+    offset = AlignUp(offset + sections_[i].size, kPageSize);
+  }
+  const size_t file_size =
+      sections_.empty() ? header_len
+                        : directory.back().offset + directory.back().size;
+
+  std::vector<uint8_t> header(header_len, 0);
+  auto put = [&header](size_t at, const void* data, size_t size) {
+    std::memcpy(header.data() + at, data, size);
+  };
+  uint64_t magic = kSnapshotMagic;
+  uint32_t version = kFormatVersion;
+  uint64_t size64 = file_size;
+  uint32_t section_count = static_cast<uint32_t>(sections_.size());
+  put(0, &magic, 8);
+  put(8, &version, 4);
+  // Header CRC at [12, 16) is filled in last.
+  put(16, &config_fingerprint, 8);
+  put(24, &op_count, 8);
+  put(32, &size64, 8);
+  put(40, &section_count, 4);
+  for (size_t i = 0; i < directory.size(); ++i) {
+    size_t at = kHeaderFixedBytes + i * kSectionEntryBytes;
+    put(at, &directory[i].kind, 4);
+    put(at + 4, &directory[i].crc, 4);
+    put(at + 8, &directory[i].offset, 8);
+    put(at + 16, &directory[i].size, 8);
+  }
+  uint32_t header_crc = Crc32c(header.data(), header_len);
+  put(12, &header_crc, 4);
+
+  sink.Reserve(file_size);
+  Status status = sink.Put(header.data(), header.size());
+  size_t at = header_len;
+  for (size_t i = 0; i < sections_.size() && status.ok(); ++i) {
+    status = sink.Zeros(directory[i].offset - at);
+    if (status.ok() && sections_[i].size != 0) {
+      status = sink.Put(sections_[i].data, sections_[i].size);
+    }
+    at = directory[i].offset + directory[i].size;
+  }
+  return status;
+}
+
+std::vector<uint8_t> SnapshotCodec::Writer::Encode(uint64_t config_fingerprint,
+                                                   uint64_t op_count) const {
+  std::vector<uint8_t> image;
+  VectorSink sink{&image};
+  Status status = Emit(config_fingerprint, op_count, sink);
+  WEBER_CHECK(status.ok()) << "in-memory snapshot encode failed";
+  return image;
+}
+
+Status SnapshotCodec::Writer::Write(AtomicFile* file,
+                                    uint64_t config_fingerprint,
+                                    uint64_t op_count, WriteInfo* info) const {
+  FileSink sink{file};
+  Status status = Emit(config_fingerprint, op_count, sink);
+  if (!status.ok() || info == nullptr) return status;
+  info->bytes = sink.bytes;
+  info->digest = Digest();
+  return Status::Ok();
+}
+
+uint32_t SnapshotCodec::Writer::Digest() const {
+  // The CRC chain over every non-annex payload in directory order, as
+  // ImageDigest computes it from the encoded bytes.
+  uint32_t digest = 0;
+  for (const Section& section : sections_) {
+    if (section.kind == kAnnex) continue;
+    digest = Crc32c(section.data, section.size, digest);
+  }
+  return digest;
+}
+
+// ---------------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------------
+
+SnapshotCodec::Reader::Reader() = default;
+SnapshotCodec::Reader::~Reader() = default;
+
+Status SnapshotCodec::Reader::Open(const std::string& path,
+                                   uint64_t config_fingerprint,
+                                   const LoadOptions& options) {
+  image_ = std::make_unique<ParsedImage>();
+  options_ = options;
+  Status status = OpenImage(path, options.mapped, image_.get());
+  if (!status.ok()) return status;
+  if (image_->config_fingerprint != config_fingerprint) {
+    return Status(StorageErrc::kConfigMismatch,
+                  "snapshot was produced under a different resolver "
+                  "configuration");
+  }
+  return VerifyAll(*image_, options.verify_arenas);
+}
+
+uint64_t SnapshotCodec::Reader::op_count() const { return image_->op_count; }
+
+bool SnapshotCodec::Reader::HasSignatures(uint32_t tag) const {
+  return image_->Find(Tagged(kSigManifest, tag)) != nullptr;
+}
+
+Status SnapshotCodec::Reader::Bytes(uint32_t kind,
+                                    std::span<const uint8_t>* out) const {
+  const SectionEntry* section = image_->Find(kind);
+  if (section == nullptr) return CorruptSection(kind, "section missing");
+  *out = {image_->SectionData(*section), section->size};
+  return Status::Ok();
+}
+
+Status SnapshotCodec::Reader::RestoreStore(
+    uint32_t tag, incremental::EntityStore* store) const {
+  return Impl::DecodeStoreManifest(*image_, Tagged(kStoreManifest, tag),
+                                   store);
+}
+
+Status SnapshotCodec::Reader::RestoreSignatures(
+    uint32_t tag, matching::SignatureStore* store) const {
+  return Impl::RestoreSignatures(*image_, tag, options_, store);
+}
+
+Status SnapshotCodec::Reader::RestoreTokenIndex(
+    uint32_t tag, incremental::IncrementalTokenIndex* index) const {
+  return Impl::DecodeTokenIndex(*image_, Tagged(kTokenIndex, tag), index);
+}
+
+// ---------------------------------------------------------------------------
+// The single-store resolver image
+// ---------------------------------------------------------------------------
+
+SnapshotCodec::Writer SnapshotCodec::ResolverWriter(
+    const incremental::IncrementalResolver& resolver) {
+  Writer writer;
+  writer.AddStore(0, resolver.store_);
+  ByteWriter manifest;
+  Impl::EncodeResolverManifest(resolver, &manifest);
+  writer.AddBytes(kResolverManifest, manifest.Take());
+  if (resolver.signatures_.has_value()) {
+    writer.AddSignatures(0, *resolver.signatures_);
+  }
+  ByteWriter annex;
+  Impl::EncodeAnnex(resolver, &annex);
+  writer.AddBytes(kAnnex, annex.Take());
+  return writer;
+}
 
 std::vector<uint8_t> SnapshotCodec::Encode(
     const incremental::IncrementalResolver& resolver,
     uint64_t config_fingerprint, uint64_t op_count) {
-  ByteWriter store_manifest;
-  Impl::EncodeStoreManifest(resolver.store_, &store_manifest);
-  ByteWriter resolver_manifest;
-  Impl::EncodeResolverManifest(resolver, &resolver_manifest);
-  ByteWriter annex;
-  Impl::EncodeAnnex(resolver, &annex);
+  return ResolverWriter(resolver).Encode(config_fingerprint, op_count);
+}
 
-  std::vector<SectionSpec> sections;
-  sections.push_back({kStoreManifest, store_manifest.bytes().data(),
-                      store_manifest.size()});
-  sections.push_back({kResolverManifest, resolver_manifest.bytes().data(),
-                      resolver_manifest.size()});
-
-  ByteWriter sig_manifest;
-  std::vector<char> vocab_blob;
-  std::vector<uint32_t> vocab_offsets;
-  if (resolver.signatures_.has_value()) {
-    const matching::SignatureStore& sigs = *resolver.signatures_;
-    const char* blob_data = nullptr;
-    size_t blob_size = 0;
-    const uint32_t* offsets_data = nullptr;
-    size_t offsets_size = 0;
-    size_t vocab_count = sigs.vocabulary_size();
-    if (!sigs.vocabulary_.empty()) {
-      // Serialize the hash map in id order: ids were assigned in
-      // first-occurrence order, so this is deterministic.
-      std::vector<const std::string*> by_id(sigs.vocabulary_.size());
-      for (const auto& [token, id] : sigs.vocabulary_) {
-        by_id[id] = &token;
-      }
-      vocab_offsets.reserve(by_id.size() + 1);
-      vocab_offsets.push_back(0);
-      for (const std::string* token : by_id) {
-        vocab_blob.insert(vocab_blob.end(), token->begin(), token->end());
-        vocab_offsets.push_back(static_cast<uint32_t>(vocab_blob.size()));
-      }
-      blob_data = vocab_blob.data();
-      blob_size = vocab_blob.size();
-      offsets_data = vocab_offsets.data();
-      offsets_size = vocab_offsets.size();
-    } else if (vocab_count > 0) {
-      // Loaded and never re-interned: the pending blob is already the
-      // id-ordered encoding. Round-tripping it verbatim keeps the digest
-      // stable across load/save cycles.
-      blob_data = sigs.pending_vocab_blob_.data();
-      blob_size = sigs.pending_vocab_blob_.size();
-      offsets_data = sigs.pending_vocab_offsets_.data();
-      offsets_size = sigs.pending_vocab_offsets_.size();
-    }
-    Impl::EncodeSigManifest(sigs, vocab_count, &sig_manifest);
-    sections.push_back(
-        {kSigManifest, sig_manifest.bytes().data(), sig_manifest.size()});
-    sections.push_back(Impl::ArenaSection(kSigEntries, sigs.entries_));
-    sections.push_back(
-        Impl::ArenaSection(kSigPostingChunks, sigs.posting_arena_.chunks_));
-    sections.push_back(Impl::ArenaSection(
-        kSigPostingArrays, sigs.posting_arena_.array_values_));
-    sections.push_back(Impl::ArenaSection(
-        kSigPostingBitsets, sigs.posting_arena_.bitset_words_));
-    sections.push_back(Impl::ArenaSection(kSigTokens, sigs.tokens_));
-    sections.push_back(Impl::ArenaSection(kSigTfIdf, sigs.tfidf_));
-    sections.push_back(
-        Impl::ArenaSection(kSigAttrSlots, sigs.attribute_slots_));
-    sections.push_back({kVocabBlob,
-                        reinterpret_cast<const uint8_t*>(blob_data),
-                        blob_size});
-    sections.push_back({kVocabOffsets,
-                        reinterpret_cast<const uint8_t*>(offsets_data),
-                        offsets_size * sizeof(uint32_t)});
-  }
-  sections.push_back({kAnnex, annex.bytes().data(), annex.size()});
-  return AssembleImage(sections, config_fingerprint, op_count);
+Status SnapshotCodec::Write(const incremental::IncrementalResolver& resolver,
+                            uint64_t config_fingerprint, uint64_t op_count,
+                            AtomicFile* file, WriteInfo* info) {
+  return ResolverWriter(resolver).Write(file, config_fingerprint, op_count,
+                                        info);
 }
 
 Status SnapshotCodec::Load(const std::string& path,
@@ -646,18 +860,11 @@ Status SnapshotCodec::Load(const std::string& path,
                            const LoadOptions& options,
                            incremental::IncrementalResolver* resolver,
                            uint64_t* op_count) {
-  ParsedImage image;
-  Status status = OpenImage(path, options.mapped, &image);
-  if (!status.ok()) return status;
-  if (image.config_fingerprint != config_fingerprint) {
-    return Status(StorageErrc::kConfigMismatch,
-                  "snapshot was produced under a different resolver "
-                  "configuration");
-  }
-  status = VerifyAll(image, options.verify_arenas);
+  Reader reader;
+  Status status = reader.Open(path, config_fingerprint, options);
   if (!status.ok()) return status;
 
-  bool snapshot_has_sigs = image.Find(kSigManifest) != nullptr;
+  bool snapshot_has_sigs = reader.HasSignatures(0);
   if (snapshot_has_sigs != resolver->signatures_.has_value()) {
     return Status(StorageErrc::kConfigMismatch,
                   snapshot_has_sigs
@@ -666,13 +873,16 @@ Status SnapshotCodec::Load(const std::string& path,
                       : "resolver expects signatures the snapshot lacks");
   }
 
-  status = Impl::DecodeStoreManifest(image, &resolver->store_);
+  status = reader.RestoreStore(0, &resolver->store_);
   if (!status.ok()) return status;
 
+  std::span<const uint8_t> bytes;
+  status = reader.Bytes(kResolverManifest, &bytes);
+  if (!status.ok()) return status;
   uint64_t counters[6] = {};
   std::vector<std::string> purged;
   resolver->matches_.clear();
-  status = DecodeResolverManifest(image, &resolver->matches_, counters,
+  status = DecodeResolverManifest(bytes, &resolver->matches_, counters,
                                   &purged);
   if (!status.ok()) return status;
   resolver->comparisons_ = counters[0];
@@ -683,8 +893,7 @@ Status SnapshotCodec::Load(const std::string& path,
   resolver->removed_ = counters[5];
 
   if (snapshot_has_sigs) {
-    status = Impl::RestoreSignatures(image, options,
-                                     &*resolver->signatures_);
+    status = reader.RestoreSignatures(0, &*resolver->signatures_);
     if (!status.ok()) return status;
   }
 
@@ -703,7 +912,9 @@ Status SnapshotCodec::Load(const std::string& path,
                  const model::EntityDescription& description) {
         resolver->token_index_.Absorb(id, description, nullptr);
       });
-  status = DecodeAnnex(image, &resolver->token_index_.stats_);
+  status = reader.Bytes(kAnnex, &bytes);
+  if (!status.ok()) return status;
+  status = DecodeAnnex(bytes, &resolver->token_index_.stats_);
   if (!status.ok()) return status;
 
   // The union-find forest is the transitive closure of matches_; flagging
@@ -713,7 +924,7 @@ Status SnapshotCodec::Load(const std::string& path,
   resolver->rep_cache_.clear();
   resolver->scored_roots_.clear();
 
-  if (op_count != nullptr) *op_count = image.op_count;
+  if (op_count != nullptr) *op_count = reader.op_count();
   return Status::Ok();
 }
 
@@ -734,7 +945,7 @@ Status SnapshotCodec::OpenSignatures(const std::string& path,
     status = VerifySection(image, section);
     if (!status.ok()) return status;
   }
-  return Impl::RestoreSignatures(image, options, store);
+  return Impl::RestoreSignatures(image, 0, options, store);
 }
 
 Status SnapshotCodec::ImageDigest(std::span<const uint8_t> image,
@@ -755,12 +966,7 @@ Status SnapshotCodec::ImageDigest(std::span<const uint8_t> image,
 
 uint32_t SnapshotCodec::StateDigest(
     const incremental::IncrementalResolver& resolver) {
-  std::vector<uint8_t> image = Encode(resolver, 0, 0);
-  uint32_t digest = 0;
-  Status status = ImageDigest(image, &digest);
-  WEBER_CHECK(status.ok()) << "self-encoded snapshot failed to parse: "
-                           << status.ToString();
-  return digest;
+  return ResolverWriter(resolver).Digest();
 }
 
 }  // namespace weber::storage

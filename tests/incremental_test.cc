@@ -472,74 +472,86 @@ class TempDir {
 };
 
 /// The incremental runner at a shard count: in memory, and durable over a
-/// fresh data directory (DurableResolver at one shard, per-shard WALs
+/// fresh data directory (DurableResolver at one shard, ShardedResolver
 /// above), must both report exactly what the in-memory single-store run
 /// reports.
-class PipelineShardsTest : public ::testing::TestWithParam<size_t> {};
+class PipelineShardsTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    datagen::CorpusConfig corpus_config;
+    corpus_config.num_entities = 120;
+    corpus_config.duplicate_fraction = 0.5;
+    corpus_config.seed = 23;
+    corpus_ = datagen::CorpusGenerator(corpus_config).GenerateDirty();
+    config_.matcher = &matcher_;
+    config_.match_threshold = 0.5;
+    core::IncrementalMode mode;
+    mode.batch_size = 16;
+    config_.incremental = mode;
+    reference_ = core::RunPipeline(corpus_.collection, corpus_.truth, config_);
+    ASSERT_GT(reference_.matches.size(), 0u);
+  }
+
+  void ExpectReference(const core::PipelineResult& run) const {
+    EXPECT_EQ(run.matches, reference_.matches);
+    EXPECT_EQ(run.clusters, reference_.clusters);
+    EXPECT_EQ(run.candidates, reference_.candidates);
+    EXPECT_EQ(run.comparisons, reference_.comparisons);
+    EXPECT_EQ(run.blocking_quality.comparisons,
+              reference_.blocking_quality.comparisons);
+    EXPECT_EQ(run.blocking_quality.comparisons_with_redundancy,
+              reference_.blocking_quality.comparisons_with_redundancy);
+    EXPECT_EQ(run.blocking_quality.matches_covered,
+              reference_.blocking_quality.matches_covered);
+    EXPECT_EQ(run.blocking_quality.total_matches,
+              reference_.blocking_quality.total_matches);
+    EXPECT_EQ(run.blocking_quality.total_possible_comparisons,
+              reference_.blocking_quality.total_possible_comparisons);
+    EXPECT_EQ(run.curve.CumulativeMatches(),
+              reference_.curve.CumulativeMatches());
+    EXPECT_FALSE(run.store_collection.has_value());
+  }
+
+  datagen::Corpus corpus_;
+  matching::TokenJaccardMatcher matcher_;
+  core::PipelineConfig config_;
+  core::PipelineResult reference_;
+};
 
 TEST_P(PipelineShardsTest, RunEqualsSingleStoreRun) {
-  datagen::CorpusConfig corpus_config;
-  corpus_config.num_entities = 120;
-  corpus_config.duplicate_fraction = 0.5;
-  corpus_config.seed = 23;
-  datagen::Corpus corpus =
-      datagen::CorpusGenerator(corpus_config).GenerateDirty();
-
-  matching::TokenJaccardMatcher matcher;
-  core::PipelineConfig config;
-  config.matcher = &matcher;
-  config.match_threshold = 0.5;
-  core::IncrementalMode mode;
-  mode.batch_size = 16;
-  config.incremental = mode;
-  core::PipelineResult reference =
-      core::RunPipeline(corpus.collection, corpus.truth, config);
-  ASSERT_GT(reference.matches.size(), 0u);
-
   for (bool durable : {false, true}) {
     SCOPED_TRACE(durable ? "fresh data dir" : "in memory");
     TempDir dir;
-    config.incremental->shards = GetParam();
-    config.incremental->data_dir = durable ? dir.path() : "";
-    core::PipelineResult run =
-        core::RunPipeline(corpus.collection, corpus.truth, config);
-    EXPECT_EQ(run.matches, reference.matches);
-    EXPECT_EQ(run.clusters, reference.clusters);
-    EXPECT_EQ(run.candidates, reference.candidates);
-    EXPECT_EQ(run.comparisons, reference.comparisons);
-    EXPECT_EQ(run.blocking_quality.comparisons,
-              reference.blocking_quality.comparisons);
-    EXPECT_EQ(run.blocking_quality.comparisons_with_redundancy,
-              reference.blocking_quality.comparisons_with_redundancy);
-    EXPECT_EQ(run.blocking_quality.matches_covered,
-              reference.blocking_quality.matches_covered);
-    EXPECT_EQ(run.blocking_quality.total_matches,
-              reference.blocking_quality.total_matches);
-    EXPECT_EQ(run.blocking_quality.total_possible_comparisons,
-              reference.blocking_quality.total_possible_comparisons);
-    EXPECT_EQ(run.curve.CumulativeMatches(),
-              reference.curve.CumulativeMatches());
-    EXPECT_FALSE(run.store_collection.has_value());
+    config_.incremental->shards = GetParam();
+    config_.incremental->data_dir = durable ? dir.path() : "";
+    ExpectReference(
+        core::RunPipeline(corpus_.collection, corpus_.truth, config_));
   }
+}
+
+/// Periodic checkpoints (every 5 ingest batches, then the final one)
+/// change nothing the run reports, at any shard count, and leave exactly
+/// one snapshot generation behind.
+TEST_P(PipelineShardsTest, SnapshotEveryRunEqualsSingleStoreRun) {
+  TempDir dir;
+  config_.incremental->shards = GetParam();
+  config_.incremental->data_dir = dir.path();
+  config_.incremental->snapshot_every = 5;
+  ExpectReference(
+      core::RunPipeline(corpus_.collection, corpus_.truth, config_));
+  size_t snapshots = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("snapshot-", 0) == 0 ||
+        name.rfind("serve-snapshot-", 0) == 0) {
+      ++snapshots;
+    }
+  }
+  EXPECT_EQ(snapshots, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, PipelineShardsTest,
                          ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
-
-TEST(PipelineShardsDeathTest, SnapshotEveryNeedsOneShard) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  model::GroundTruth truth;
-  model::EntityCollection collection = TinyDirty(&truth);
-  matching::TokenJaccardMatcher matcher;
-  core::PipelineConfig config;
-  config.matcher = &matcher;
-  core::IncrementalMode mode;
-  mode.shards = 2;
-  mode.snapshot_every = 5;
-  config.incremental = mode;
-  EXPECT_DEATH(core::RunPipeline(collection, truth, config),
-               "snapshot_every needs shards == 1");
-}
 
 // ---------------------------------------------------------------------------
 // No-rebuild guarantee

@@ -6,15 +6,21 @@
 // recovers from the directory and asserts bit-equality.
 //
 // Usage: serve_crash_child DATA_DIR SEED N_OPS KILL_AFTER SHARDS FSYNC
-//   KILL_AFTER  index of the last op to apply before raise(SIGKILL);
-//               >= N_OPS runs to completion and exits 0.
-//   FSYNC       always | batch | off
+//                          [SNAPSHOT_EVERY KILL_STAGE]
+//   KILL_AFTER      index of the last op to apply before raise(SIGKILL);
+//                   >= N_OPS runs to completion and exits 0.
+//   FSYNC           always | batch | off
+//   SNAPSHOT_EVERY  checkpoint every N mutations while the ops run.
+//   KILL_STAGE      written | renamed | rotated: after op KILL_AFTER, run
+//                   one more checkpoint and die at that stage of it
+//                   instead of after the op.
 
 #include <signal.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "matching/matcher.h"
@@ -23,10 +29,10 @@
 
 int main(int argc, char** argv) {
   using namespace weber;
-  if (argc != 7) {
+  if (argc != 7 && argc != 9) {
     std::fprintf(stderr,
                  "usage: serve_crash_child DATA_DIR SEED N_OPS KILL_AFTER "
-                 "SHARDS FSYNC\n");
+                 "SHARDS FSYNC [SNAPSHOT_EVERY KILL_STAGE]\n");
     return 2;
   }
   serve::ShardedResolverOptions options;
@@ -43,6 +49,23 @@ int main(int argc, char** argv) {
     options.fsync = storage::FsyncPolicy::kOff;
   }
 
+  // Only the final checkpoint is armed; the periodic ones run through.
+  bool armed = false;
+  std::optional<serve::CheckpointStage> kill_stage;
+  if (argc == 9) {
+    options.snapshot_every = std::strtoull(argv[7], nullptr, 10);
+    if (std::strcmp(argv[8], "written") == 0) {
+      kill_stage = serve::CheckpointStage::kSnapshotWritten;
+    } else if (std::strcmp(argv[8], "renamed") == 0) {
+      kill_stage = serve::CheckpointStage::kSnapshotRenamed;
+    } else {
+      kill_stage = serve::CheckpointStage::kWalsRotated;
+    }
+    options.checkpoint_hook = [&](serve::CheckpointStage stage) {
+      if (armed && stage == *kill_stage) raise(SIGKILL);
+    };
+  }
+
   matching::TokenJaccardMatcher matcher;
   serve::ShardedResolver resolver(&matcher, options);
   if (!resolver.recovery_status().ok()) {
@@ -54,7 +77,15 @@ int main(int argc, char** argv) {
       testing::GenerateStorageOps(seed, n_ops);
   for (size_t i = 0; i < ops.size(); ++i) {
     testing::ApplyStorageOp(&resolver, ops[i]);
-    if (i == kill_after) raise(SIGKILL);  // Dies here; never returns.
+    if (i != kill_after) continue;
+    if (!kill_stage.has_value()) raise(SIGKILL);  // Dies here.
+    armed = true;
+    storage::Status status = resolver.Checkpoint();
+    // Reaching this line means the checkpoint had nothing to fold in (or
+    // failed) and never passed the armed stage.
+    std::fprintf(stderr, "armed checkpoint returned: %s\n",
+                 status.ToString().c_str());
+    return 4;
   }
   return 0;
 }

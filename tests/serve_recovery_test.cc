@@ -1,8 +1,9 @@
 // Durability tests of the sharded serving path: clean reopen, the
 // kill-and-recover property at 8 shards (a child process SIGKILLs itself
-// mid-op-stream and the parent recovers bit-equal state from the
-// per-shard WAL corpses), torn-tail truncation, and fail-closed config
-// mismatch.
+// mid-op-stream, or inside a checkpoint, and the parent recovers
+// bit-equal state from the per-shard WAL and snapshot corpses), torn-tail
+// truncation, snapshot generations, the v1 directory layout, and
+// fail-closed config mismatch.
 
 #include <gtest/gtest.h>
 
@@ -82,6 +83,35 @@ void ApplyUntilOsn(ShardedResolver* resolver,
   ASSERT_EQ(resolver->osn(), target);
 }
 
+/// Counts the snapshot files of a data dir, temp files included, and
+/// checks that every shard holds exactly the WAL of the newest generation.
+/// A settled checkpointed directory reports 1.
+size_t Generations(const std::string& data_dir) {
+  size_t count = 0;
+  std::vector<std::string> names;
+  EXPECT_TRUE(storage::ListDirectory(data_dir, &names).ok());
+  std::vector<std::string> snapshots;
+  for (const std::string& name : names) {
+    if (name.find(".tmp") != std::string::npos) {
+      ++count;
+    } else if (name.rfind("serve-snapshot-", 0) == 0) {
+      snapshots.push_back(name);
+    }
+  }
+  count += snapshots.size();
+  // Each shard holds exactly wal-G for the surviving generation G.
+  std::string wal = "wal-" + (snapshots.empty()
+                                  ? std::string("0")
+                                  : snapshots.front().substr(15));
+  for (const std::string& name : names) {
+    if (name.rfind("shard-", 0) != 0) continue;
+    std::vector<std::string> wals;
+    EXPECT_TRUE(storage::ListDirectory(data_dir + "/" + name, &wals).ok());
+    EXPECT_EQ(wals, std::vector<std::string>{wal}) << name;
+  }
+  return count;
+}
+
 TEST(ShardedRecoveryTest, CleanReopenIsBitEqual) {
   TempDir dir;
   std::vector<StorageOp> ops = GenerateStorageOps(31, 40);
@@ -117,20 +147,31 @@ TEST(ShardedRecoveryTest, CleanReopenIsBitEqual) {
 }
 
 /// Runs the crash child to (and including) op `kill_after`, expecting it
-/// to die by SIGKILL; `kill_after >= n_ops` expects a clean exit.
+/// to die by SIGKILL; `kill_after >= n_ops` expects a clean exit. A
+/// non-empty `kill_stage` checkpoints every `snapshot_every` mutations and
+/// kills inside one more checkpoint after op `kill_after` instead.
 void RunChild(const std::string& data_dir, uint64_t seed, size_t n_ops,
-              size_t kill_after, size_t shards) {
+              size_t kill_after, size_t shards, size_t snapshot_every = 0,
+              const std::string& kill_stage = "") {
   std::string seed_arg = std::to_string(seed);
   std::string n_ops_arg = std::to_string(n_ops);
   std::string kill_arg = std::to_string(kill_after);
   std::string shards_arg = std::to_string(shards);
+  std::string every_arg = std::to_string(snapshot_every);
   pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
     const char* child = WEBER_SERVE_CRASH_CHILD_PATH;
-    execl(child, child, data_dir.c_str(), seed_arg.c_str(),
-          n_ops_arg.c_str(), kill_arg.c_str(), shards_arg.c_str(), "always",
-          static_cast<char*>(nullptr));
+    if (kill_stage.empty()) {
+      execl(child, child, data_dir.c_str(), seed_arg.c_str(),
+            n_ops_arg.c_str(), kill_arg.c_str(), shards_arg.c_str(),
+            "always", static_cast<char*>(nullptr));
+    } else {
+      execl(child, child, data_dir.c_str(), seed_arg.c_str(),
+            n_ops_arg.c_str(), kill_arg.c_str(), shards_arg.c_str(),
+            "always", every_arg.c_str(), kill_stage.c_str(),
+            static_cast<char*>(nullptr));
+    }
     _exit(127);  // exec failed.
   }
   int wstatus = 0;
@@ -145,16 +186,21 @@ void RunChild(const std::string& data_dir, uint64_t seed, size_t n_ops,
   }
 }
 
-/// The tentpole's crash property at 8 shards: SIGKILL the child after op
-/// `kill_after`, recover from the eight WAL corpses, and the recovered
-/// state must digest-equal a single-shard reference over the
+/// The crash property at 8 shards: SIGKILL the child after op
+/// `kill_after` (or inside the checkpoint after it), recover from the
+/// eight WAL corpses and whatever snapshot generations they extend, and
+/// the recovered state must digest-equal a single-shard reference over the
 /// acknowledged prefix (fsync=always acknowledges exactly the applied
 /// ops) — then stay digest-equal while the remaining ops run forward.
-void CheckKillRecover(uint64_t seed, size_t n_ops, size_t kill_after) {
+void CheckKillRecover(uint64_t seed, size_t n_ops, size_t kill_after,
+                      size_t snapshot_every = 0,
+                      const std::string& kill_stage = "") {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
-               " kill_after=" + std::to_string(kill_after));
+               " kill_after=" + std::to_string(kill_after) + " stage=" +
+               kill_stage);
   TempDir dir;
-  RunChild(dir.path(), seed, n_ops, kill_after, 8);
+  RunChild(dir.path(), seed, n_ops, kill_after, 8, snapshot_every,
+           kill_stage);
 
   matching::TokenJaccardMatcher matcher;
   ShardedResolver recovered(
@@ -170,11 +216,29 @@ void CheckKillRecover(uint64_t seed, size_t n_ops, size_t kill_after) {
   ApplyUntilOsn(&reference, ops, recovered.osn(), &next);
   EXPECT_EQ(recovered.StateDigest(), reference.StateDigest());
 
+  if (!kill_stage.empty()) {
+    // Every acknowledged op survives a crash anywhere in the checkpoint,
+    // and recovery leaves one generation: no temp file, no stale files.
+    EXPECT_EQ(next, kill_after + 1);
+    EXPECT_EQ(Generations(dir.path()), 1u);
+  }
+
   for (size_t i = next; i < ops.size(); ++i) {
     ApplyStorageOp(&recovered, ops[i]);
     ApplyStorageOp(&reference, ops[i]);
   }
   EXPECT_EQ(recovered.StateDigest(), reference.StateDigest());
+}
+
+TEST(ShardedRecoveryTest, KillInsideCheckpointAtEightShards) {
+  // Periodic checkpoints every 4 mutations, so the killed checkpoint
+  // always has a snapshot generation to replace.
+  CheckKillRecover(/*seed=*/5, /*n_ops=*/40, /*kill_after=*/21, 4,
+                   "written");
+  CheckKillRecover(/*seed=*/6, /*n_ops=*/40, /*kill_after=*/21, 4,
+                   "renamed");
+  CheckKillRecover(/*seed=*/7, /*n_ops=*/40, /*kill_after=*/21, 4,
+                   "rotated");
 }
 
 TEST(ShardedRecoveryTest, KillAndRecoverAtEightShards) {
@@ -248,6 +312,165 @@ TEST(ShardedRecoveryTest, ShardCountMismatchFailsClosed) {
       &matcher, DurableOptions(dir.path(), 8, storage::FsyncPolicy::kOff));
   EXPECT_FALSE(mismatched.recovery_status().ok());
 }
+
+// ---------------------------------------------------------------------------
+// Snapshot generations, at several shard counts
+// ---------------------------------------------------------------------------
+
+class ShardedSnapshotTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  /// A small purge cap, so the snapshot must carry retired tokens.
+  ShardedResolverOptions Options(const std::string& data_dir) const {
+    ShardedResolverOptions options =
+        DurableOptions(data_dir, GetParam(), storage::FsyncPolicy::kOff);
+    options.index.max_block_size = 6;
+    return options;
+  }
+
+  matching::TokenJaccardMatcher matcher_;
+};
+
+TEST_P(ShardedSnapshotTest, ReopenFromSnapshotIsBitEqual) {
+  TempDir dir;
+  std::vector<StorageOp> ops = GenerateStorageOps(41, 60);
+  uint64_t digest = 0;
+  uint64_t osn = 0;
+  uint64_t generation = 0;
+  {
+    ShardedResolver durable(&matcher_, Options(dir.path()));
+    ASSERT_TRUE(durable.recovery_status().ok());
+    for (size_t i = 0; i < 40; ++i) ApplyStorageOp(&durable, ops[i]);
+    ASSERT_TRUE(durable.Checkpoint().ok());
+    generation = durable.osn();
+    EXPECT_EQ(durable.generation(), generation);
+    // A WAL tail on top of the snapshot.
+    for (size_t i = 40; i < ops.size(); ++i) ApplyStorageOp(&durable, ops[i]);
+    digest = durable.StateDigest();
+    osn = durable.osn();
+  }
+  EXPECT_EQ(Generations(dir.path()), 1u);
+
+  ShardedResolver recovered(&matcher_, Options(dir.path()));
+  ASSERT_TRUE(recovered.recovery_status().ok())
+      << recovered.recovery_status().ToString();
+  EXPECT_EQ(recovered.generation(), generation);
+  EXPECT_EQ(recovered.osn(), osn);
+  EXPECT_EQ(recovered.StateDigest(), digest);
+}
+
+TEST_P(ShardedSnapshotTest, IngestAfterLoadMatchesNeverCheckpointedRun) {
+  TempDir dir;
+  std::vector<StorageOp> ops = GenerateStorageOps(43, 90);
+  {
+    ShardedResolverOptions options = Options(dir.path());
+    options.snapshot_every = 3;
+    ShardedResolver durable(&matcher_, options);
+    ASSERT_TRUE(durable.recovery_status().ok());
+    for (size_t i = 0; i < 45; ++i) ApplyStorageOp(&durable, ops[i]);
+    ASSERT_TRUE(durable.Checkpoint().ok());  // Reopen with no WAL tail.
+  }
+  ShardedResolver recovered(&matcher_, Options(dir.path()));
+  ASSERT_TRUE(recovered.recovery_status().ok())
+      << recovered.recovery_status().ToString();
+  for (size_t i = 45; i < ops.size(); ++i) ApplyStorageOp(&recovered, ops[i]);
+
+  // The never-checkpointed run, at this shard count and at one shard: the
+  // restored token index (postings, purge marks, removed ids) and
+  // vocabulary must produce the same candidates in the same order.
+  ShardedResolverOptions memory = Options("");
+  ShardedResolver reference(&matcher_, memory);
+  memory.shards = 1;
+  ShardedResolver single(&matcher_, memory);
+  for (const StorageOp& op : ops) {
+    ApplyStorageOp(&reference, op);
+    ApplyStorageOp(&single, op);
+  }
+  ASSERT_GT(reference.IndexStats().purged_tokens, 0u);
+  EXPECT_EQ(recovered.StateDigest(), reference.StateDigest());
+  EXPECT_EQ(recovered.StateDigest(), single.StateDigest());
+  EXPECT_EQ(recovered.candidates(), reference.candidates());
+  EXPECT_EQ(recovered.comparisons(), reference.comparisons());
+  EXPECT_EQ(recovered.IndexStats().purged_tokens,
+            reference.IndexStats().purged_tokens);
+  EXPECT_EQ(recovered.IndexStats().tokens, reference.IndexStats().tokens);
+}
+
+TEST_P(ShardedSnapshotTest, VersionOneDirectoryRecoversAsGenerationZero) {
+  TempDir dir;
+  std::vector<StorageOp> ops = GenerateStorageOps(47, 30);
+  uint64_t digest = 0;
+  {
+    ShardedResolver durable(&matcher_, Options(dir.path()));
+    ASSERT_TRUE(durable.recovery_status().ok());
+    for (const StorageOp& op : ops) ApplyStorageOp(&durable, op);
+    ASSERT_TRUE(durable.Sync().ok());
+    digest = durable.StateDigest();
+  }
+  // Rewrite serve-meta as the v1 manifest of a build without snapshot
+  // generations (same layout, version field 1): the dir holds wal-0 only.
+  const std::string meta = dir.path() + "/serve-meta";
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(storage::ReadFileBytes(meta, &bytes).ok());
+  ASSERT_EQ(bytes.size(), 24u);
+  bytes[8] = 1;
+  ASSERT_TRUE(storage::AtomicWriteFile(meta, bytes).ok());
+
+  {
+    ShardedResolver recovered(&matcher_, Options(dir.path()));
+    ASSERT_TRUE(recovered.recovery_status().ok())
+        << recovered.recovery_status().ToString();
+    EXPECT_EQ(recovered.generation(), 0u);
+    EXPECT_EQ(recovered.StateDigest(), digest);
+    // The first checkpoint upgrades the manifest before it commits.
+    ASSERT_TRUE(recovered.Checkpoint().ok());
+  }
+  ASSERT_TRUE(storage::ReadFileBytes(meta, &bytes).ok());
+  EXPECT_EQ(bytes[8], 2);
+  ShardedResolver reopened(&matcher_, Options(dir.path()));
+  ASSERT_TRUE(reopened.recovery_status().ok());
+  EXPECT_GT(reopened.generation(), 0u);
+  EXPECT_EQ(reopened.StateDigest(), digest);
+}
+
+TEST_P(ShardedSnapshotTest, ForeignSnapshotFailsClosed) {
+  std::vector<StorageOp> ops = GenerateStorageOps(53, 25);
+  auto checkpointed = [&](const std::string& data_dir,
+                          ShardedResolverOptions options) {
+    options.data_dir = data_dir;
+    ShardedResolver durable(&matcher_, options);
+    EXPECT_TRUE(durable.recovery_status().ok());
+    for (const StorageOp& op : ops) ApplyStorageOp(&durable, op);
+    EXPECT_TRUE(durable.Checkpoint().ok());
+    return data_dir + "/serve-snapshot-" + std::to_string(durable.osn());
+  };
+  TempDir dir;
+  const std::string own = checkpointed(dir.path(), Options(dir.path()));
+
+  // Same ops (so the same generation) under another threshold, and under
+  // another shard count: swapped in, either must be refused.
+  TempDir threshold_dir;
+  ShardedResolverOptions other = Options("");
+  other.match_threshold = 0.7;
+  const std::string other_threshold = checkpointed(threshold_dir.path(), other);
+  TempDir shards_dir;
+  other = Options("");
+  other.shards = GetParam() == 8 ? 2 : 8;
+  const std::string other_shards = checkpointed(shards_dir.path(), other);
+
+  for (const std::string& foreign : {other_threshold, other_shards}) {
+    SCOPED_TRACE(foreign);
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(storage::ReadFileBytes(foreign, &bytes).ok());
+    ASSERT_TRUE(storage::AtomicWriteFile(own, bytes).ok());
+    ShardedResolver recovered(&matcher_, Options(dir.path()));
+    EXPECT_EQ(recovered.recovery_status().code(),
+              storage::StorageErrc::kConfigMismatch)
+        << recovered.recovery_status().ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedSnapshotTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
 
 }  // namespace
 }  // namespace weber::serve

@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -29,6 +30,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/sharded_resolver.h"
+#include "storage/file_io.h"
 
 namespace weber::serve {
 namespace {
@@ -345,6 +347,39 @@ TEST(ShardedResolveServiceTest, ShedsTypedOverloadPastWatermark) {
   EXPECT_EQ(service.Remove(0), ServeErrc::kShuttingDown);
 }
 
+TEST(ShardedResolveServiceTest, DrainReturnsTheSyncStatusWithoutSnapshot) {
+  char pattern[] = "/tmp/weber-serve-drain-XXXXXX";
+  char* dir = mkdtemp(pattern);
+  ASSERT_NE(dir, nullptr);
+  matching::TokenJaccardMatcher matcher;
+  ShardedServiceOptions options;
+  options.resolver.shards = 2;
+  options.resolver.data_dir = dir;
+  {
+    ShardedResolveService service(&matcher, options);
+    ASSERT_TRUE(service.recovery_status().ok());
+    ASSERT_EQ(service.Ingest({Person("http://kb/a", "alice smith", "paris"),
+                              Person("http://kb/b", "bob jones", "berlin")})
+                  .status,
+              ServeErrc::kOk);
+    service.BeginShutdown();
+    storage::Status drained = service.Drain();
+    EXPECT_TRUE(drained.ok()) << drained.ToString();
+    EXPECT_EQ(service.resolver().generation(), 0u);
+  }
+  // Drain is a sync barrier, not a checkpoint: the dir holds no snapshot,
+  // and reopening replays the WAL.
+  std::vector<std::string> names;
+  ASSERT_TRUE(storage::ListDirectory(dir, &names).ok());
+  for (const std::string& name : names) {
+    EXPECT_NE(name.rfind("serve-snapshot-", 0), 0u) << name;
+  }
+  ShardedResolver reopened(&matcher, options.resolver);
+  ASSERT_TRUE(reopened.recovery_status().ok());
+  EXPECT_EQ(reopened.size(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedResolveServiceTest, WaitersCoalesceIntoOneHandedOffBatch) {
   GatedMatcher matcher;
   ShardedServiceOptions options;
@@ -541,7 +576,8 @@ TEST(UnixServerTest, EndToEndOverSocket) {
   server_options.socket_path = socket_path;
   UnixServer server(&service, server_options);
   ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
+  storage::Status served(storage::StorageErrc::kIoError, "never served");
+  std::thread serving([&] { served = server.Serve(); });
 
   ServeClient client;
   ASSERT_TRUE(client.Connect(socket_path));
@@ -590,6 +626,7 @@ TEST(UnixServerTest, EndToEndOverSocket) {
   EXPECT_EQ(client.Call(Request{MessageType::kShutdown, {}, 0}).status,
             ServeErrc::kOk);
   serving.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();  // The final sync.
   EXPECT_EQ(service.resolver().live_count(), 2u);
 
   std::remove(socket_path.c_str());

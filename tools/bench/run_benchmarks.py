@@ -50,9 +50,11 @@ BENCHES = {
     },
     "bench_storage": {
         # Keep the 1k/10k rows plus the 100k mapped-open row — the
-        # zero-copy claim needs the large file to show flat open time.
+        # zero-copy claim needs the large file to show flat open time —
+        # and the 10k-history sharded recovery pair.
         "quick_args": [
-            "--benchmark_filter=(/1000$|/10000$|OpenMapped/100000|/4096/)",
+            "--benchmark_filter=(/1000$|/10000$|OpenMapped/100000|/4096/|"
+            "history:10000/)",
             "--benchmark_min_time=0.1"],
         "full_args": [],
     },
