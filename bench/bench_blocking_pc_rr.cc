@@ -9,16 +9,23 @@
 //
 // Rows: (method, schema_divergence). Counters: PC, PQ, RR, distinct
 // pairs.
+//
+// BM_EvaluateBlocks/{token_purged,qgrams,suffix} time the evaluation
+// itself, the comparison-propagation walk over the distinct pairs, on the
+// default dirty corpus; `distinct_pairs` is the walk's output size.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
 
+#include "bench/bench_report.h"
 #include "bench/bench_util.h"
 #include "blocking/attribute_clustering.h"
 #include "blocking/block_purging.h"
+#include "blocking/qgrams_blocking.h"
 #include "blocking/standard_blocking.h"
+#include "blocking/suffix_blocking.h"
 #include "blocking/token_blocking.h"
 #include "eval/blocking_metrics.h"
 
@@ -87,7 +94,41 @@ BENCHMARK(BM_AttributeClusteringBlocking)
     ->Arg(0)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
+enum class EvalBlocks { kTokenPurged, kQGrams, kSuffix };
+
+void BM_EvaluateBlocks(benchmark::State& state, EvalBlocks kind) {
+  static const datagen::Corpus& corpus = *new datagen::Corpus(
+      bench::DirtyCorpus());
+  blocking::BlockCollection blocks;
+  switch (kind) {
+    case EvalBlocks::kTokenPurged:
+      blocks = blocking::TokenBlocking().Build(corpus.collection);
+      blocking::AutoPurgeBlocks(blocks);
+      break;
+    case EvalBlocks::kQGrams:
+      blocks = blocking::QGramsBlocking(3).Build(corpus.collection);
+      break;
+    case EvalBlocks::kSuffix:
+      blocks = blocking::SuffixBlocking().Build(corpus.collection);
+      break;
+  }
+  eval::BlockingQuality q;
+  for (auto _ : state) {
+    q = eval::EvaluateBlocks(blocks, corpus.truth);
+    benchmark::DoNotOptimize(q.comparisons);
+  }
+  state.counters["distinct_pairs"] = static_cast<double>(q.comparisons);
+  state.counters["PC"] = q.PairCompleteness();
+  state.counters["blocks"] = static_cast<double>(blocks.NumBlocks());
+}
+BENCHMARK_CAPTURE(BM_EvaluateBlocks, token_purged, EvalBlocks::kTokenPurged)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EvaluateBlocks, qgrams, EvalBlocks::kQGrams)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EvaluateBlocks, suffix, EvalBlocks::kSuffix)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace weber
 
-BENCHMARK_MAIN();
+WEBER_BENCH_MAIN("bench_blocking_pc_rr");

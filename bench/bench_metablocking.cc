@@ -36,7 +36,7 @@ const Baseline& GetBaseline() {
                            {}, 0};
     b->blocks = blocking::TokenBlocking().Build(b->corpus.collection);
     blocking::AutoPurgeBlocks(b->blocks);
-    b->original_pairs = b->blocks.DistinctPairs().size();
+    b->original_pairs = b->blocks.CountDistinctPairs();
     return b;
   }();
   return baseline;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/executor.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -43,13 +44,14 @@ void BlockCollection::AddBlock(Block block) {
   blocks_.push_back(std::move(block));
 }
 
+uint64_t BlockCollection::ComparisonsOf(const Block& block) const {
+  return collection_ != nullptr ? block.NumComparisons(*collection_)
+                                : block.size() * (block.size() - 1) / 2;
+}
+
 uint64_t BlockCollection::TotalComparisonsWithRedundancy() const {
   uint64_t total = 0;
-  for (const Block& block : blocks_) {
-    total += collection_ != nullptr
-                 ? block.NumComparisons(*collection_)
-                 : block.size() * (block.size() - 1) / 2;
-  }
+  for (const Block& block : blocks_) total += ComparisonsOf(block);
   return total;
 }
 
@@ -64,19 +66,143 @@ model::IdPairSet BlockCollection::DistinctPairs() const {
 void BlockCollection::VisitDistinctPairs(
     const std::function<void(model::EntityId, model::EntityId)>& visitor)
     const {
-  model::IdPairSet seen;
-  for (const Block& block : blocks_) {
-    for (size_t i = 0; i < block.entities.size(); ++i) {
-      for (size_t j = i + 1; j < block.entities.size(); ++j) {
-        model::EntityId a = block.entities[i];
-        model::EntityId b = block.entities[j];
-        if (collection_ != nullptr && !collection_->Comparable(a, b)) {
+  VisitDistinctPairs(EntityToBlocks(), 0, blocks_.size(), visitor);
+}
+
+namespace {
+
+// True if the ascending lists a[0, na) and b[0, nb) share an element.
+bool Intersects(const uint32_t* a, size_t na, const uint32_t* b, size_t nb) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < na && j < nb) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+void BlockCollection::VisitDistinctPairs(
+    const std::vector<std::vector<uint32_t>>& entity_blocks, size_t begin,
+    size_t end,
+    const std::function<void(model::EntityId, model::EntityId)>& visitor)
+    const {
+  WEBER_DCHECK_LE(end, blocks_.size()) << "block range past the end";
+  // before[k]: how many blocks ahead of b hold the k-th id of block b, i.e.
+  // the position of b in that id's ascending block list. A pair's least
+  // common block is b exactly when those two prefixes share no block.
+  std::vector<uint32_t> before;
+  for (size_t b = begin; b < end; ++b) {
+    const std::vector<model::EntityId>& ids = blocks_[b].entities;
+    before.resize(ids.size());
+    for (size_t k = 0; k < ids.size(); ++k) {
+      WEBER_DCHECK_LT(ids[k], entity_blocks.size())
+          << "block entity outside the index";
+      const std::vector<uint32_t>& list = entity_blocks[ids[k]];
+      auto at = std::lower_bound(list.begin(), list.end(), b);
+      WEBER_DCHECK(at != list.end() && *at == b)
+          << "index does not list block " << b << " for entity " << ids[k];
+      before[k] = static_cast<uint32_t>(at - list.begin());
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint32_t* list_i = entity_blocks[ids[i]].data();
+      for (size_t j = i + 1; j < ids.size(); ++j) {
+        model::EntityId a = ids[i];
+        model::EntityId c = ids[j];
+        if (collection_ != nullptr && !collection_->Comparable(a, c)) {
           continue;
         }
-        if (seen.insert(model::IdPair::Of(a, b)).second) visitor(a, b);
+        if (!Intersects(list_i, before[i], entity_blocks[c].data(),
+                        before[j])) {
+          visitor(a, c);
+        }
       }
     }
   }
+}
+
+std::vector<size_t> BlockCollection::RangePairCounts(
+    const std::vector<std::vector<uint32_t>>& entity_blocks,
+    const std::vector<size_t>& bounds) const {
+  std::vector<size_t> counts(bounds.size() - 1, 0);
+  core::Executor::Shared().ParallelChunks(
+      counts.size(), counts.size(), [&](size_t, size_t first, size_t last) {
+        for (size_t r = first; r < last; ++r) {
+          size_t count = 0;
+          VisitDistinctPairs(
+              entity_blocks, bounds[r], bounds[r + 1],
+              [&count](model::EntityId, model::EntityId) { ++count; });
+          counts[r] = count;
+        }
+      });
+  return counts;
+}
+
+uint64_t BlockCollection::CountDistinctPairs() const {
+  uint64_t total = 0;
+  for (size_t count :
+       RangePairCounts(EntityToBlocks(),
+                       BalancedRanges(core::EffectiveParallelism()))) {
+    total += count;
+  }
+  return total;
+}
+
+std::vector<model::IdPair> BlockCollection::DistinctPairList(
+    const std::vector<std::vector<uint32_t>>& entity_blocks) const {
+  std::vector<model::IdPair> pairs;
+  std::vector<size_t> bounds = BalancedRanges(core::EffectiveParallelism());
+  if (bounds.size() <= 2) {  // One range: a single serial walk.
+    VisitDistinctPairs(entity_blocks, 0, blocks_.size(),
+                       [&pairs](model::EntityId a, model::EntityId b) {
+                         pairs.push_back(model::IdPair::Of(a, b));
+                       });
+    return pairs;
+  }
+  // Count, then fill: the list is allocated once, at its exact size, by
+  // the calling thread. Buffers grown on pool threads would stay in those
+  // threads' malloc arenas once freed and raise the process peak.
+  std::vector<size_t> offsets = RangePairCounts(entity_blocks, bounds);
+  size_t total = 0;
+  for (size_t& offset : offsets) {
+    size_t count = offset;
+    offset = total;
+    total += count;
+  }
+  pairs.resize(total);
+  core::Executor::Shared().ParallelChunks(
+      offsets.size(), offsets.size(), [&](size_t, size_t first, size_t last) {
+        for (size_t r = first; r < last; ++r) {
+          model::IdPair* out = pairs.data() + offsets[r];
+          VisitDistinctPairs(entity_blocks, bounds[r], bounds[r + 1],
+                             [&out](model::EntityId a, model::EntityId b) {
+                               *out++ = model::IdPair::Of(a, b);
+                             });
+        }
+      });
+  return pairs;
+}
+
+std::vector<size_t> BlockCollection::BalancedRanges(size_t parts) const {
+  parts = std::max<size_t>(parts, 1);
+  uint64_t total = TotalComparisonsWithRedundancy();
+  std::vector<size_t> bounds{0};
+  uint64_t running = 0;
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    running += ComparisonsOf(blocks_[b]);
+    // Close range k once the running sum reaches k/parts of the total.
+    if (bounds.size() < parts && running * parts >= total * bounds.size()) {
+      bounds.push_back(b + 1);
+    }
+  }
+  if (bounds.back() != blocks_.size()) bounds.push_back(blocks_.size());
+  return bounds;
 }
 
 std::vector<std::vector<uint32_t>> BlockCollection::EntityToBlocks() const {

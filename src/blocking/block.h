@@ -59,12 +59,45 @@ class BlockCollection {
   /// once, no matter how many blocks it co-occurs in).
   model::IdPairSet DistinctPairs() const;
 
-  /// Visits every distinct candidate pair once. Lower memory than
-  /// DistinctPairs for large collections; see comparison_propagation.h for
-  /// the hash-free variant.
+  /// Visits every distinct comparable pair exactly once, by comparison
+  /// propagation: a pair (a, b) is visited only in its least common block,
+  /// the first block (in block order) that holds both ids. The test reads
+  /// only the entity-to-blocks index, so no set of executed pairs is kept.
+  /// Pairs arrive in first-occurrence order: block order, then positions
+  /// i < j within the block, with a = entities[i] and b = entities[j].
+  /// Relies on every block's ids being sorted and distinct, which AddBlock
+  /// guarantees (callers of mutable_blocks() must keep it so).
   void VisitDistinctPairs(
       const std::function<void(model::EntityId, model::EntityId)>& visitor)
       const;
+
+  /// The same walk over the blocks [begin, end) only, against an index
+  /// built once by EntityToBlocks(): visits the distinct pairs whose least
+  /// common block lies in the range. Disjoint ranges visit disjoint pairs,
+  /// so ranges may be walked concurrently over one shared index.
+  void VisitDistinctPairs(
+      const std::vector<std::vector<uint32_t>>& entity_blocks, size_t begin,
+      size_t end,
+      const std::function<void(model::EntityId, model::EntityId)>& visitor)
+      const;
+
+  /// Number of distinct comparable pairs, counted over BalancedRanges()
+  /// on the shared executor without materialising them.
+  uint64_t CountDistinctPairs() const;
+
+  /// The distinct pairs in VisitDistinctPairs order, normalised with
+  /// IdPair::Of. BalancedRanges() are counted, then filled in place at
+  /// their offsets on the shared executor, so the list is identical for
+  /// any thread count and allocated once at its exact size.
+  /// `entity_blocks` must be this collection's EntityToBlocks().
+  std::vector<model::IdPair> DistinctPairList(
+      const std::vector<std::vector<uint32_t>>& entity_blocks) const;
+
+  /// Cuts [0, NumBlocks()) into at most `parts` contiguous, non-empty block
+  /// ranges of roughly equal suggested comparisons; pair counts grow
+  /// quadratically with block size, so equal block counts would not
+  /// balance. Returns the boundaries: range r is [bounds[r], bounds[r+1]).
+  std::vector<size_t> BalancedRanges(size_t parts) const;
 
   /// Builds the inverted index from entity id to the (ascending) list of
   /// block indices that contain it.
@@ -78,6 +111,14 @@ class BlockCollection {
   void SortBlocksBySize();
 
  private:
+  // Comparisons one block suggests; all pairs when no collection is set.
+  uint64_t ComparisonsOf(const Block& block) const;
+  // Distinct pairs of each range [bounds[r], bounds[r+1]), counted on the
+  // shared executor.
+  std::vector<size_t> RangePairCounts(
+      const std::vector<std::vector<uint32_t>>& entity_blocks,
+      const std::vector<size_t>& bounds) const;
+
   std::vector<Block> blocks_;
   uint64_t keys_emitted_ = 0;
   const model::EntityCollection* collection_ = nullptr;

@@ -273,10 +273,7 @@ PipelineResult RunPipeline(const model::EntityCollection& collection,
                                            config.meta_blocking->first,
                                            config.meta_blocking->second);
     } else {
-      blocks.VisitDistinctPairs(
-          [&candidates](model::EntityId a, model::EntityId b) {
-            candidates.push_back(model::IdPair::Of(a, b));
-          });
+      candidates = blocks.DistinctPairList(blocks.EntityToBlocks());
     }
     result.candidates = candidates.size();
     if (registry != nullptr) {

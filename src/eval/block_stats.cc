@@ -47,7 +47,7 @@ BlockStats ComputeBlockStats(const blocking::BlockCollection& blocks) {
                                 2.0;
   stats.comparisons_with_redundancy =
       blocks.TotalComparisonsWithRedundancy();
-  stats.distinct_comparisons = blocks.DistinctPairs().size();
+  stats.distinct_comparisons = blocks.CountDistinctPairs();
   stats.redundancy_factor =
       stats.distinct_comparisons > 0
           ? static_cast<double>(stats.comparisons_with_redundancy) /

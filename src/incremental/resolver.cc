@@ -220,28 +220,30 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
 
   if (obs::MetricsRegistry* registry = Registry()) {
     const DeltaIndexStats& index = token_index_.stats();
-    registry->GetCounter("weber.incremental.ingested").Add(ids.size());
-    registry->GetCounter("weber.incremental.batches").Increment();
-    registry->GetCounter("weber.incremental.candidates")
-        .Add(candidates.size());
-    registry->GetCounter("weber.incremental.comparisons")
-        .Add(comparisons_ - comparisons_before);
-    registry->GetCounter("weber.incremental.merges")
-        .Add(merges_ - merges_before);
-    // Delta-index proof-of-work counters: updates grows by at most the
-    // batch's token count per ingest; full_builds stays 0 on this path.
-    registry->GetCounter("weber.incremental.index_updates")
-        .Add(index.updates - index_updates_before);
-    registry->GetCounter("weber.incremental.index_full_builds")
-        .Add(index.full_builds);
+    if (!replaying_) {
+      registry->GetCounter("weber.incremental.ingested").Add(ids.size());
+      registry->GetCounter("weber.incremental.batches").Increment();
+      registry->GetCounter("weber.incremental.candidates")
+          .Add(candidates.size());
+      registry->GetCounter("weber.incremental.comparisons")
+          .Add(comparisons_ - comparisons_before);
+      registry->GetCounter("weber.incremental.merges")
+          .Add(merges_ - merges_before);
+      // Delta-index proof-of-work counters: updates grows by at most the
+      // batch's token count per ingest; full_builds stays 0 on this path.
+      registry->GetCounter("weber.incremental.index_updates")
+          .Add(index.updates - index_updates_before);
+      registry->GetCounter("weber.incremental.index_full_builds")
+          .Add(index.full_builds);
+      registry->GetHistogram("weber.incremental.ingest_seconds")
+          .Record(timer.ElapsedSeconds());
+      registry->GetHistogram("weber.incremental.batch_entities")
+          .Record(static_cast<double>(ids.size()));
+    }
     registry->GetGauge("weber.incremental.live_entities")
         .Set(static_cast<double>(store_.live_count()));
     registry->GetGauge("weber.incremental.index_tokens")
         .Set(static_cast<double>(index.tokens));
-    registry->GetHistogram("weber.incremental.ingest_seconds")
-        .Record(timer.ElapsedSeconds());
-    registry->GetHistogram("weber.incremental.batch_entities")
-        .Record(static_cast<double>(ids.size()));
     if (signatures_.has_value()) {
       registry->GetGauge("weber.matching.signature.arena_bytes")
           .Set(static_cast<double>(signatures_->ArenaBytes()));
@@ -277,7 +279,9 @@ bool IncrementalResolver::Remove(model::EntityId id) {
   if (matches_.size() != before) forest_dirty_ = true;
   ++removed_;
   if (obs::MetricsRegistry* registry = Registry()) {
-    registry->GetCounter("weber.incremental.removed").Increment();
+    if (!replaying_) {
+      registry->GetCounter("weber.incremental.removed").Increment();
+    }
     registry->GetGauge("weber.incremental.live_entities")
         .Set(static_cast<double>(store_.live_count()));
   }

@@ -23,6 +23,7 @@ class MetricsRegistry;
 }  // namespace weber::obs
 
 namespace weber::storage {
+class DurableResolver;
 class SnapshotCodec;
 }  // namespace weber::storage
 
@@ -135,6 +136,7 @@ class IncrementalResolver {
   }
 
  private:
+  friend class weber::storage::DurableResolver;
   friend class weber::storage::SnapshotCodec;
 
   obs::MetricsRegistry* Registry() const;
@@ -167,6 +169,9 @@ class IncrementalResolver {
 
   util::UnionFind forest_{0};
   bool forest_dirty_ = false;
+  // Set by DurableResolver while it replays its WAL: replayed ops were
+  // counted as work when they were live, so only gauges are published.
+  bool replaying_ = false;
   // Member lists for non-singleton roots; singletons are implicit.
   std::unordered_map<model::EntityId, std::vector<model::EntityId>> members_;
   std::vector<model::EntityId> singleton_scratch_;

@@ -81,10 +81,7 @@ BlockingGraph BlockingGraph::Build(const blocking::BlockCollection& blocks,
   }
 
   // First pass: the distinct pairs. Needed up front for EJS degrees.
-  std::vector<model::IdPair> pairs;
-  blocks.VisitDistinctPairs([&pairs](model::EntityId a, model::EntityId b) {
-    pairs.push_back(model::IdPair::Of(a, b));
-  });
+  std::vector<model::IdPair> pairs = blocks.DistinctPairList(entity_blocks);
 
   std::vector<uint32_t> degree;
   if (scheme == WeightScheme::kEjs) {

@@ -414,32 +414,37 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
 
   if (obs::MetricsRegistry* registry = Registry()) {
     incremental::DeltaIndexStats index = IndexStats();
-    registry->GetCounter("weber.incremental.ingested").Add(n);
-    registry->GetCounter("weber.incremental.batches").Increment();
-    registry->GetCounter("weber.incremental.candidates")
-        .Add(candidates.size());
-    registry->GetCounter("weber.incremental.comparisons")
-        .Add(comparisons_ - comparisons_before);
-    registry->GetCounter("weber.incremental.merges")
-        .Add(merges_ - merges_before);
-    registry->GetCounter("weber.incremental.index_updates")
-        .Add(index.updates - index_before.updates);
-    registry->GetCounter("weber.incremental.index_full_builds")
-        .Add(index.full_builds - index_before.full_builds);
     registry->GetGauge("weber.incremental.live_entities")
         .Set(static_cast<double>(live_count()));
     registry->GetGauge("weber.incremental.index_tokens")
         .Set(static_cast<double>(index.tokens));
-    registry->GetHistogram("weber.incremental.ingest_seconds")
-        .Record(timer.ElapsedSeconds());
-    registry->GetHistogram("weber.incremental.batch_entities")
-        .Record(static_cast<double>(n));
-    if (num_shards > 1) {
-      size_t heaviest = *std::max_element(shard_entity_counts.begin(),
-                                          shard_entity_counts.end());
-      double mean = static_cast<double>(n) / static_cast<double>(num_shards);
-      registry->GetHistogram("weber.serve.shard_imbalance")
-          .Record(static_cast<double>(heaviest) / mean);
+    // WAL replay (log == false) re-applies history that was counted when
+    // it was live; weber.storage.wal.replayed_records counts it instead.
+    if (log) {
+      registry->GetCounter("weber.incremental.ingested").Add(n);
+      registry->GetCounter("weber.incremental.batches").Increment();
+      registry->GetCounter("weber.incremental.candidates")
+          .Add(candidates.size());
+      registry->GetCounter("weber.incremental.comparisons")
+          .Add(comparisons_ - comparisons_before);
+      registry->GetCounter("weber.incremental.merges")
+          .Add(merges_ - merges_before);
+      registry->GetCounter("weber.incremental.index_updates")
+          .Add(index.updates - index_before.updates);
+      registry->GetCounter("weber.incremental.index_full_builds")
+          .Add(index.full_builds - index_before.full_builds);
+      registry->GetHistogram("weber.incremental.ingest_seconds")
+          .Record(timer.ElapsedSeconds());
+      registry->GetHistogram("weber.incremental.batch_entities")
+          .Record(static_cast<double>(n));
+      if (num_shards > 1) {
+        size_t heaviest = *std::max_element(shard_entity_counts.begin(),
+                                            shard_entity_counts.end());
+        double mean =
+            static_cast<double>(n) / static_cast<double>(num_shards);
+        registry->GetHistogram("weber.serve.shard_imbalance")
+            .Record(static_cast<double>(heaviest) / mean);
+      }
     }
   }
   if (log && durable_) PublishWalMetrics();
@@ -545,7 +550,7 @@ bool ShardedResolver::RemoveLocked(model::EntityId id, bool log) {
   }
   ++osn_next_;
   if (obs::MetricsRegistry* registry = Registry()) {
-    registry->GetCounter("weber.incremental.removed").Increment();
+    if (log) registry->GetCounter("weber.incremental.removed").Increment();
     registry->GetGauge("weber.incremental.live_entities")
         .Set(static_cast<double>(live_count()));
   }
@@ -686,23 +691,25 @@ storage::Status ShardedResolver::Checkpoint() {
     }
     writer.AddTokenIndex(ShardTag(s), token_shards_[s]);
   }
-  storage::ByteWriter manifest;
-  manifest.PutU32(static_cast<uint32_t>(options_.shards));
-  manifest.PutU64(row_of_.size());
-  manifest.PutRaw(row_of_.data(), row_of_.size() * sizeof(uint32_t));
-  manifest.PutU64(matches_.size());
-  manifest.PutRaw(matches_.data(), matches_.size() * sizeof(model::IdPair));
-  for (uint64_t counter :
-       {comparisons_, candidates_, merges_, batches_, removed_}) {
-    manifest.PutU64(counter);
-  }
-  writer.AddBytes(kServeManifest, manifest.Take());
-  storage::ByteWriter vocabulary;
-  vocabulary.PutU64(vocabulary_.size());
-  for (const std::string* token : vocabulary_.ById()) {
-    vocabulary.PutString(*token);
-  }
-  writer.AddBytes(kServeVocabulary, vocabulary.Take());
+  writer.AddBytes(
+      kServeManifest, storage::EncodeExact([&](storage::ByteWriter* out) {
+        out->PutU32(static_cast<uint32_t>(options_.shards));
+        out->PutU64(row_of_.size());
+        out->PutRaw(row_of_.data(), row_of_.size() * sizeof(uint32_t));
+        out->PutU64(matches_.size());
+        out->PutRaw(matches_.data(), matches_.size() * sizeof(model::IdPair));
+        for (uint64_t counter :
+             {comparisons_, candidates_, merges_, batches_, removed_}) {
+          out->PutU64(counter);
+        }
+      }));
+  writer.AddBytes(
+      kServeVocabulary, storage::EncodeExact([&](storage::ByteWriter* out) {
+        out->PutU64(vocabulary_.size());
+        for (const std::string* token : vocabulary_.ById()) {
+          out->PutString(*token);
+        }
+      }));
 
   storage::AtomicFile file;
   storage::SnapshotCodec::WriteInfo written;

@@ -15,7 +15,14 @@ namespace weber::storage {
 /// on-disk arenas are raw memory either way).
 class ByteWriter {
  public:
-  void PutU8(uint8_t value) { bytes_.push_back(value); }
+  /// A writer that keeps no bytes and only counts them, for EncodeExact.
+  static ByteWriter Counter() {
+    ByteWriter writer;
+    writer.count_only_ = true;
+    return writer;
+  }
+
+  void PutU8(uint8_t value) { PutRaw(&value, sizeof(value)); }
   void PutU32(uint32_t value) { PutRaw(&value, sizeof(value)); }
   void PutU64(uint64_t value) { PutRaw(&value, sizeof(value)); }
   void PutDouble(double value) { PutRaw(&value, sizeof(value)); }
@@ -24,17 +31,38 @@ class ByteWriter {
     PutRaw(value.data(), value.size());
   }
   void PutRaw(const void* data, size_t size) {
+    if (count_only_) {
+      counted_ += size;
+      return;
+    }
     const uint8_t* p = static_cast<const uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + size);
   }
 
-  size_t size() const { return bytes_.size(); }
+  void Reserve(size_t size) { bytes_.reserve(size); }
+  size_t size() const { return count_only_ ? counted_ : bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;
+  bool count_only_ = false;
+  size_t counted_ = 0;
 };
+
+/// Runs `encode(ByteWriter*)` twice: once into a Counter() for the exact
+/// size, then into a writer reserved to it. A large manifest then never
+/// passes through a doubling vector (up to twice its size, plus the copy
+/// on each growth). `encode` must write the same bytes both times.
+template <typename Encode>
+std::vector<uint8_t> EncodeExact(const Encode& encode) {
+  ByteWriter counter = ByteWriter::Counter();
+  encode(&counter);
+  ByteWriter out;
+  out.Reserve(counter.size());
+  encode(&out);
+  return out.Take();
+}
 
 /// Bounds-checked reader over a borrowed byte range. Every Get sets the
 /// failed flag instead of reading past the end; callers check failed()

@@ -192,6 +192,13 @@ Status DurableResolver::Recover() {
                           std::to_string(op_count_));
       }
     }
+    // Replayed ops were counted as work when they were live; the replay
+    // itself is counted by weber.storage.wal.replayed_records.
+    resolver_.replaying_ = true;
+    struct ReplayScope {
+      bool& replaying;
+      ~ReplayScope() { replaying = false; }
+    } replay_scope{resolver_.replaying_};
     for (const WriteAheadLog::Record& record : contents.records) {
       ByteReader in(record.payload.data(), record.payload.size());
       if (record.type == WriteAheadLog::kIngestBatch) {

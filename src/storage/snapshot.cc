@@ -618,17 +618,17 @@ void SnapshotCodec::Writer::AddBytes(uint32_t kind,
 
 void SnapshotCodec::Writer::AddStore(uint32_t tag,
                                      const incremental::EntityStore& store) {
-  ByteWriter manifest;
-  Impl::EncodeStoreManifest(store, &manifest);
-  AddBytes(Tagged(kStoreManifest, tag), manifest.Take());
+  AddBytes(Tagged(kStoreManifest, tag), EncodeExact([&](ByteWriter* out) {
+             Impl::EncodeStoreManifest(store, out);
+           }));
 }
 
 void SnapshotCodec::Writer::AddSignatures(
     uint32_t tag, const matching::SignatureStore& sigs) {
   const size_t vocab_count = sigs.vocabulary_size();
-  ByteWriter manifest;
-  Impl::EncodeSigManifest(sigs, vocab_count, &manifest);
-  AddBytes(Tagged(kSigManifest, tag), manifest.Take());
+  AddBytes(Tagged(kSigManifest, tag), EncodeExact([&](ByteWriter* out) {
+             Impl::EncodeSigManifest(sigs, vocab_count, out);
+           }));
   AddArena(Tagged(kSigEntries, tag), sigs.entries_.data(),
            sigs.entries_.size());
   AddArena(Tagged(kSigPostingChunks, tag), sigs.posting_arena_.chunks_.data(),
@@ -676,9 +676,9 @@ void SnapshotCodec::Writer::AddSignatures(
 
 void SnapshotCodec::Writer::AddTokenIndex(
     uint32_t tag, const incremental::IncrementalTokenIndex& index) {
-  ByteWriter section;
-  Impl::EncodeTokenIndex(index, &section);
-  AddBytes(Tagged(kTokenIndex, tag), section.Take());
+  AddBytes(Tagged(kTokenIndex, tag), EncodeExact([&](ByteWriter* out) {
+             Impl::EncodeTokenIndex(index, out);
+           }));
 }
 
 /// Lays the sections out page-aligned after the header and feeds the
@@ -830,9 +830,9 @@ SnapshotCodec::Writer SnapshotCodec::ResolverWriter(
     const incremental::IncrementalResolver& resolver) {
   Writer writer;
   writer.AddStore(0, resolver.store_);
-  ByteWriter manifest;
-  Impl::EncodeResolverManifest(resolver, &manifest);
-  writer.AddBytes(kResolverManifest, manifest.Take());
+  writer.AddBytes(kResolverManifest, EncodeExact([&](ByteWriter* out) {
+                    Impl::EncodeResolverManifest(resolver, out);
+                  }));
   if (resolver.signatures_.has_value()) {
     writer.AddSignatures(0, *resolver.signatures_);
   }

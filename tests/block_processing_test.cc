@@ -2,7 +2,6 @@
 
 #include "blocking/block_filtering.h"
 #include "blocking/block_purging.h"
-#include "blocking/comparison_propagation.h"
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "eval/blocking_metrics.h"
@@ -131,19 +130,34 @@ TEST(BlockFilteringTest, EmptyInput) {
 // Comparison propagation
 // ---------------------------------------------------------------------------
 
+// Comparison propagation is BlockCollection::VisitDistinctPairs itself: a
+// pair is visited only in its least common block (LeCoBI).
+
 TEST(ComparisonPropagationTest, EachPairVisitedExactlyOnce) {
   model::EntityCollection c = TinyDirty(nullptr);
   BlockCollection blocks(&c);
   blocks.AddBlock(Block{"k1", {0, 1, 2}});
   blocks.AddBlock(Block{"k2", {1, 2, 3}});
   blocks.AddBlock(Block{"k3", {0, 3}});
-  ComparisonPropagation propagation(blocks);
   model::IdPairSet seen;
-  propagation.VisitPairs([&seen](model::EntityId a, model::EntityId b) {
+  blocks.VisitDistinctPairs([&seen](model::EntityId a, model::EntityId b) {
     EXPECT_TRUE(seen.insert(model::IdPair::Of(a, b)).second)
         << "pair visited twice: " << a << "," << b;
   });
-  EXPECT_EQ(seen, blocks.DistinctPairs());
+  EXPECT_EQ(seen, (model::IdPairSet{{0, 1}, {0, 2}, {1, 2}, {1, 3},
+                                    {2, 3}, {0, 3}}));
+}
+
+// Pairs visited when walking only the blocks [begin, end).
+std::vector<model::IdPair> PairsInRange(const BlockCollection& blocks,
+                                        size_t begin, size_t end) {
+  std::vector<model::IdPair> pairs;
+  blocks.VisitDistinctPairs(
+      blocks.EntityToBlocks(), begin, end,
+      [&pairs](model::EntityId a, model::EntityId b) {
+        pairs.push_back(model::IdPair::Of(a, b));
+      });
+  return pairs;
 }
 
 TEST(ComparisonPropagationTest, LeastCommonBlockIndexSemantics) {
@@ -151,9 +165,10 @@ TEST(ComparisonPropagationTest, LeastCommonBlockIndexSemantics) {
   BlockCollection blocks(&c);
   blocks.AddBlock(Block{"k1", {0, 1}});
   blocks.AddBlock(Block{"k2", {0, 1}});
-  ComparisonPropagation propagation(blocks);
-  EXPECT_TRUE(propagation.IsLeastCommonBlock(0, 1, 0));
-  EXPECT_FALSE(propagation.IsLeastCommonBlock(0, 1, 1));
+  // (0, 1) belongs to block 0, its least common block, and not block 1.
+  EXPECT_EQ(PairsInRange(blocks, 0, 1),
+            (std::vector<model::IdPair>{{0, 1}}));
+  EXPECT_TRUE(PairsInRange(blocks, 1, 2).empty());
 }
 
 TEST(ComparisonPropagationTest, CountMatchesDistinctPairs) {
@@ -162,8 +177,9 @@ TEST(ComparisonPropagationTest, CountMatchesDistinctPairs) {
   config.seed = 33;
   datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
   BlockCollection blocks = TokenBlocking().Build(corpus.collection);
-  ComparisonPropagation propagation(blocks);
-  EXPECT_EQ(propagation.CountDistinctPairs(), blocks.DistinctPairs().size());
+  EXPECT_EQ(blocks.CountDistinctPairs(), blocks.DistinctPairs().size());
+  EXPECT_EQ(blocks.DistinctPairList(blocks.EntityToBlocks()).size(),
+            blocks.DistinctPairs().size());
 }
 
 TEST(ComparisonPropagationTest, NoCommonBlocks) {
@@ -171,9 +187,38 @@ TEST(ComparisonPropagationTest, NoCommonBlocks) {
   BlockCollection blocks(&c);
   blocks.AddBlock(Block{"k1", {0, 1}});
   blocks.AddBlock(Block{"k2", {2, 3}});
-  ComparisonPropagation propagation(blocks);
-  EXPECT_FALSE(propagation.IsLeastCommonBlock(0, 2, 0));
-  EXPECT_FALSE(propagation.IsLeastCommonBlock(0, 2, 1));
+  // (0, 2) shares no block, so neither block's range visits it.
+  EXPECT_EQ(PairsInRange(blocks, 0, 1),
+            (std::vector<model::IdPair>{{0, 1}}));
+  EXPECT_EQ(PairsInRange(blocks, 1, 2),
+            (std::vector<model::IdPair>{{2, 3}}));
+}
+
+TEST(ComparisonPropagationTest, BalancedRangesPartitionTheBlocks) {
+  datagen::CorpusConfig config;
+  config.num_entities = 80;
+  config.seed = 33;
+  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
+  BlockCollection blocks = TokenBlocking().Build(corpus.collection);
+  std::vector<model::IdPair> whole =
+      PairsInRange(blocks, 0, blocks.NumBlocks());
+  for (size_t parts : {1, 2, 3, 8, 1000}) {
+    std::vector<size_t> bounds = blocks.BalancedRanges(parts);
+    ASSERT_GE(bounds.size(), 2u);
+    EXPECT_LE(bounds.size() - 1, parts);
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), blocks.NumBlocks());
+    std::vector<model::IdPair> joined;
+    for (size_t r = 0; r + 1 < bounds.size(); ++r) {
+      EXPECT_LT(bounds[r], bounds[r + 1]) << "empty range " << r;
+      std::vector<model::IdPair> part =
+          PairsInRange(blocks, bounds[r], bounds[r + 1]);
+      joined.insert(joined.end(), part.begin(), part.end());
+    }
+    EXPECT_EQ(joined, whole) << parts << " parts";
+  }
+  EXPECT_EQ(BlockCollection(&corpus.collection).BalancedRanges(4),
+            std::vector<size_t>{0});
 }
 
 }  // namespace

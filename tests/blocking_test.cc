@@ -20,6 +20,7 @@
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "eval/blocking_metrics.h"
+#include "tests/pair_reference.h"
 #include "tests/test_corpus.h"
 
 namespace weber::blocking {
@@ -698,6 +699,33 @@ TEST_P(BlockerProperty, ValidBlocksOnGeneratedCorpus) {
   // Distinct pairs never exceed the quadratic bound.
   EXPECT_LE(blocks.DistinctPairs().size(),
             corpus.collection.TotalComparisons());
+}
+
+// VisitDistinctPairs (comparison propagation) emits exactly the sequence
+// of the hash-set reference walk, Comparable filtering included, on a
+// dirty and on a clean-clean corpus.
+TEST_P(BlockerProperty, DistinctPairSequenceMatchesHashSetReference) {
+  datagen::CorpusConfig config;
+  config.num_entities = 120;
+  config.duplicate_fraction = 0.5;
+  config.seed = 17;
+  datagen::Corpus dirty = datagen::CorpusGenerator(config).GenerateDirty();
+  config.schema_divergence = 0.2;
+  datagen::Corpus clean =
+      datagen::CorpusGenerator(config).GenerateCleanClean();
+  for (const datagen::Corpus* corpus : {&dirty, &clean}) {
+    BlockCollection blocks = GetParam().blocker->Build(corpus->collection);
+    std::vector<model::IdPair> reference =
+        ::weber::testing::HashSetPairSequence(blocks);
+    EXPECT_EQ(::weber::testing::VisitedPairSequence(blocks), reference)
+        << (corpus == &dirty ? "dirty" : "clean-clean");
+    EXPECT_EQ(blocks.CountDistinctPairs(), reference.size());
+    std::vector<model::IdPair> normalised;
+    for (const model::IdPair& pair : reference) {
+      normalised.push_back(model::IdPair::Of(pair.low, pair.high));
+    }
+    EXPECT_EQ(blocks.DistinctPairList(blocks.EntityToBlocks()), normalised);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "blocking/block_purging.h"
+#include "blocking/qgrams_blocking.h"
 #include "blocking/token_blocking.h"
+#include "core/executor.h"
 #include "datagen/corpus_generator.h"
 #include "eval/block_stats.h"
 #include "eval/blocking_metrics.h"
@@ -86,6 +91,81 @@ TEST(BlockingQualityTest, NoTruthMeansPerfectPc) {
 // Cross-path consistency: EvaluateBlocks vs EvaluatePairs must agree on
 // the distinct-pair view of the same collection.
 // ---------------------------------------------------------------------------
+
+// Every field of EvaluateBlocks pinned on seeded corpora. The values were
+// recorded from the hash-set pair walk that comparison propagation
+// replaced, so any change here is a behaviour change.
+struct PinnedQuality {
+  uint64_t comparisons;
+  uint64_t comparisons_with_redundancy;
+  uint64_t matches_covered;
+  uint64_t total_matches;
+  uint64_t total_possible_comparisons;
+};
+
+void ExpectQuality(const BlockingQuality& q, const PinnedQuality& pinned) {
+  EXPECT_EQ(q.comparisons, pinned.comparisons);
+  EXPECT_EQ(q.comparisons_with_redundancy,
+            pinned.comparisons_with_redundancy);
+  EXPECT_EQ(q.matches_covered, pinned.matches_covered);
+  EXPECT_EQ(q.total_matches, pinned.total_matches);
+  EXPECT_EQ(q.total_possible_comparisons, pinned.total_possible_comparisons);
+}
+
+datagen::CorpusConfig PinnedConfig() {
+  datagen::CorpusConfig config;
+  config.num_entities = 300;
+  config.seed = 2026;
+  return config;
+}
+
+TEST(BlockingQualityTest, PinnedOnSeededCorpora) {
+  datagen::Corpus dirty =
+      datagen::CorpusGenerator(PinnedConfig()).GenerateDirty();
+  blocking::BlockCollection blocks =
+      blocking::TokenBlocking().Build(dirty.collection);
+  ExpectQuality(EvaluateBlocks(blocks, dirty.truth),
+                {102394, 160991, 328, 328, 144991});
+  EXPECT_EQ(ComputeBlockStats(blocks).distinct_comparisons, 102394u);
+  blocking::AutoPurgeBlocks(blocks);
+  ExpectQuality(EvaluateBlocks(blocks, dirty.truth),
+                {14390, 17165, 328, 328, 144991});
+  ExpectQuality(
+      EvaluateBlocks(blocking::QGramsBlocking(3).Build(dirty.collection),
+                     dirty.truth),
+      {113044, 862563, 328, 328, 144991});
+
+  datagen::CorpusConfig config = PinnedConfig();
+  config.schema_divergence = 0.3;
+  datagen::Corpus clean =
+      datagen::CorpusGenerator(config).GenerateCleanClean();
+  ExpectQuality(
+      EvaluateBlocks(blocking::TokenBlocking().Build(clean.collection),
+                     clean.truth),
+      {67664, 111295, 150, 150, 90000});
+}
+
+TEST(BlockingQualityTest, IdenticalForAnyThreadCount) {
+  datagen::Corpus corpus =
+      datagen::CorpusGenerator(PinnedConfig()).GenerateDirty();
+  blocking::BlockCollection blocks =
+      blocking::QGramsBlocking(3).Build(corpus.collection);
+  std::vector<BlockingQuality> runs;
+  std::vector<uint64_t> counts;
+  for (size_t threads : {1, 2, 8}) {
+    core::ScopedParallelism parallelism(threads);
+    runs.push_back(EvaluateBlocks(blocks, corpus.truth));
+    counts.push_back(blocks.CountDistinctPairs());
+  }
+  for (size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_EQ(runs[r].comparisons, runs[0].comparisons);
+    EXPECT_EQ(runs[r].matches_covered, runs[0].matches_covered);
+    EXPECT_EQ(runs[r].comparisons_with_redundancy,
+              runs[0].comparisons_with_redundancy);
+    EXPECT_EQ(counts[r], counts[0]);
+  }
+  EXPECT_EQ(counts[0], runs[0].comparisons);
+}
 
 TEST(EvaluationConsistencyTest, BlocksAndPairsPathsAgree) {
   datagen::CorpusConfig config;

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
+#include "blocking/qgrams_blocking.h"
 #include "blocking/token_blocking.h"
+#include "core/executor.h"
 #include "datagen/corpus_generator.h"
 #include "eval/blocking_metrics.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/pruning_schemes.h"
 #include "metablocking/weight_schemes.h"
+#include "tests/pair_reference.h"
 #include "tests/test_corpus.h"
 
 namespace weber::metablocking {
@@ -34,6 +39,41 @@ TEST(BlockingGraphTest, OneEdgePerDistinctPair) {
   // Pairs: {0,1}x2 blocks, {0,2},{1,2},{0,3},{1,3} -> 5 distinct edges.
   EXPECT_EQ(graph.num_edges(), 5u);
   EXPECT_EQ(graph.num_nodes(), c.size());
+}
+
+// The edge list (order, endpoints and weight bits) does not depend on the
+// thread count, and its pairs are the distinct pairs in visit order.
+TEST(BlockingGraphTest, EdgesBitEqualForAnyThreadCount) {
+  datagen::CorpusConfig config;
+  config.num_entities = 200;
+  config.seed = 91;
+  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
+  blocking::BlockCollection blocks =
+      blocking::QGramsBlocking(3).Build(corpus.collection);
+  std::vector<model::IdPair> reference =
+      ::weber::testing::HashSetPairSequence(blocks);
+  for (WeightScheme scheme : kAllWeightSchemes) {
+    std::vector<std::vector<WeightedEdge>> runs;
+    for (size_t threads : {1, 2, 8}) {
+      core::ScopedParallelism parallelism(threads);
+      runs.push_back(BlockingGraph::Build(blocks, scheme).edges());
+    }
+    ASSERT_EQ(runs[0].size(), reference.size()) << ToString(scheme);
+    for (size_t e = 0; e < reference.size(); ++e) {
+      EXPECT_EQ(runs[0][e].pair(), reference[e]) << ToString(scheme);
+    }
+    for (size_t r = 1; r < runs.size(); ++r) {
+      ASSERT_EQ(runs[r].size(), runs[0].size()) << ToString(scheme);
+      for (size_t e = 0; e < runs[0].size(); ++e) {
+        EXPECT_EQ(runs[r][e].a, runs[0][e].a);
+        EXPECT_EQ(runs[r][e].b, runs[0][e].b);
+        EXPECT_EQ(std::memcmp(&runs[r][e].weight, &runs[0][e].weight,
+                              sizeof(double)),
+                  0)
+            << ToString(scheme) << " edge " << e;
+      }
+    }
+  }
 }
 
 TEST(BlockingGraphTest, CbsCountsCommonBlocks) {

@@ -6,9 +6,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "blocking/comparison_propagation.h"
+#include "blocking/block.h"
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "metablocking/pruning_schemes.h"
@@ -16,6 +17,7 @@
 #include "progressive/partition_hierarchy.h"
 #include "progressive/progressive_sn.h"
 #include "text/similarity.h"
+#include "tests/pair_reference.h"
 #include "util/random.h"
 
 namespace weber {
@@ -102,12 +104,30 @@ TEST_P(RandomBlocksProperty, LeCoBIEqualsHashSetDedup) {
     }
     blocks.AddBlock(std::move(block));
   }
-  blocking::ComparisonPropagation propagation(blocks);
-  model::IdPairSet via_lecobi;
-  propagation.VisitPairs([&via_lecobi](model::EntityId a, model::EntityId b) {
-    EXPECT_TRUE(via_lecobi.insert(model::IdPair::Of(a, b)).second);
-  });
-  EXPECT_EQ(via_lecobi, blocks.DistinctPairs());
+  // The LeCoBI walk emits the hash-set walk's exact sequence, pairs never
+  // repeat, and every block range split visits the same sequence.
+  std::vector<model::IdPair> reference =
+      ::weber::testing::HashSetPairSequence(blocks);
+  std::vector<model::IdPair> via_lecobi =
+      ::weber::testing::VisitedPairSequence(blocks);
+  EXPECT_EQ(via_lecobi, reference);
+  model::IdPairSet distinct;
+  for (const model::IdPair& pair : via_lecobi) {
+    EXPECT_TRUE(distinct.insert(model::IdPair::Of(pair.low, pair.high)).second);
+  }
+  EXPECT_EQ(distinct, blocks.DistinctPairs());
+  std::vector<std::vector<uint32_t>> index = blocks.EntityToBlocks();
+  size_t split = rng.NextBounded(blocks.NumBlocks() + 1);
+  std::vector<model::IdPair> joined;
+  for (auto [begin, end] : {std::pair<size_t, size_t>{0, split},
+                            std::pair<size_t, size_t>{split,
+                                                      blocks.NumBlocks()}}) {
+    blocks.VisitDistinctPairs(index, begin, end,
+                              [&joined](model::EntityId a, model::EntityId b) {
+                                joined.push_back({a, b});
+                              });
+  }
+  EXPECT_EQ(joined, reference);
 }
 
 TEST_P(RandomBlocksProperty, MetaBlockingReciprocalSubsetInvariant) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "matching/matcher.h"
+#include "obs/metrics.h"
 #include "serve/sharded_resolver.h"
 #include "storage/file_io.h"
 #include "tests/storage_ops.h"
@@ -471,6 +472,67 @@ TEST_P(ShardedSnapshotTest, ForeignSnapshotFailsClosed) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedSnapshotTest,
                          ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
+
+// Reopening a WAL-only directory replays its history through the ingest
+// path; the weber.incremental.* work counters must count only the live
+// ingests after the reopen, not the replayed ones.
+class RecoveryCountersTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RecoveryCountersTest, WalReplayIsNotCountedAsLiveWork) {
+  TempDir dir;
+  matching::TokenJaccardMatcher matcher;
+  {
+    ShardedResolver durable(
+        &matcher,
+        DurableOptions(dir.path(), GetParam(), storage::FsyncPolicy::kOff));
+    ASSERT_TRUE(durable.recovery_status().ok());
+    for (const StorageOp& op : GenerateStorageOps(59, 40)) {
+      ApplyStorageOp(&durable, op);
+    }
+    ASSERT_TRUE(durable.Sync().ok());  // Never checkpointed.
+    EXPECT_EQ(durable.generation(), 0u);
+  }
+
+  obs::MetricsRegistry registry;
+  ShardedResolverOptions options =
+      DurableOptions(dir.path(), GetParam(), storage::FsyncPolicy::kOff);
+  options.metrics = &registry;
+  ShardedResolver recovered(&matcher, options);
+  ASSERT_TRUE(recovered.recovery_status().ok())
+      << recovered.recovery_status().ToString();
+  EXPECT_GT(registry.GetCounter("weber.storage.wal.replayed_records").Value(),
+            0u);
+  for (const char* name :
+       {"weber.incremental.ingested", "weber.incremental.batches",
+        "weber.incremental.candidates", "weber.incremental.comparisons",
+        "weber.incremental.removed"}) {
+    EXPECT_EQ(registry.GetCounter(name).Value(), 0u) << name;
+  }
+  auto timed_batches = [&registry] {
+    return registry.GetHistogram("weber.incremental.ingest_seconds")
+        .Snapshot()
+        .count;
+  };
+  EXPECT_EQ(timed_batches(), 0u);
+
+  uint64_t ingested = 0;
+  uint64_t batches = 0;
+  for (const StorageOp& op : GenerateStorageOps(61, 12)) {
+    if (op.remove) continue;
+    ingested += op.batch.size();
+    ++batches;
+    recovered.Ingest(op.batch);
+  }
+  ASSERT_GT(ingested, 0u);
+  EXPECT_EQ(registry.GetCounter("weber.incremental.ingested").Value(),
+            ingested);
+  EXPECT_EQ(registry.GetCounter("weber.incremental.batches").Value(),
+            batches);
+  EXPECT_EQ(timed_batches(), batches);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RecoveryCountersTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 }  // namespace
 }  // namespace weber::serve

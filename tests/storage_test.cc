@@ -9,6 +9,7 @@
 #include "incremental/resolver.h"
 #include "matching/matcher.h"
 #include "matching/signatures.h"
+#include "obs/metrics.h"
 #include "storage/buffer.h"
 #include "storage/crc32c.h"
 #include "storage/durable.h"
@@ -512,6 +513,45 @@ TEST(DurableResolverTest, RecoversToBitEqualState) {
   EXPECT_GT(recovered.replayed_records(), 0u);
   EXPECT_EQ(SnapshotCodec::StateDigest(recovered.resolver()), digest_before);
   EXPECT_EQ(recovered.resolver().matches(), reference.matches());
+}
+
+TEST(DurableResolverTest, WalReplayIsNotCountedAsLiveWork) {
+  matching::TokenJaccardMatcher matcher;
+  TempDir dir;
+  DurabilityOptions durability;
+  durability.data_dir = dir.path();
+  durability.fsync = FsyncPolicy::kOff;
+  {
+    DurableResolver durable(&matcher, TestResolverOptions(), durability);
+    ASSERT_TRUE(durable.healthy());
+    for (const StorageOp& op : GenerateStorageOps(59, 40)) {
+      ApplyStorageOp(&durable, op);
+    }
+  }  // WAL only: never checkpointed.
+
+  obs::MetricsRegistry registry;
+  incremental::ResolverOptions options = TestResolverOptions();
+  options.metrics = &registry;
+  DurableResolver recovered(&matcher, options, durability);
+  ASSERT_TRUE(recovered.healthy()) << recovered.recovery_status().ToString();
+  EXPECT_GT(registry.GetCounter("weber.storage.wal.replayed_records").Value(),
+            0u);
+  for (const char* name :
+       {"weber.incremental.ingested", "weber.incremental.batches",
+        "weber.incremental.candidates", "weber.incremental.comparisons",
+        "weber.incremental.removed"}) {
+    EXPECT_EQ(registry.GetCounter(name).Value(), 0u) << name;
+  }
+
+  uint64_t ingested = 0;
+  for (const StorageOp& op : GenerateStorageOps(61, 12)) {
+    if (op.remove) continue;
+    ingested += op.batch.size();
+    recovered.Ingest(op.batch);
+  }
+  ASSERT_GT(ingested, 0u);
+  EXPECT_EQ(registry.GetCounter("weber.incremental.ingested").Value(),
+            ingested);
 }
 
 TEST(DurableResolverTest, ConfigChangeIsRejectedOnRecovery) {

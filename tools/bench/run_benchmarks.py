@@ -58,6 +58,13 @@ BENCHES = {
             "--benchmark_min_time=0.1"],
         "full_args": [],
     },
+    "bench_blocking_pc_rr": {
+        # E2's quality rows are Iterations(1); quick keeps the 0% and 100%
+        # divergence ends plus the three EvaluateBlocks rows.
+        "quick_args": ["--benchmark_filter=(/0/|/100/|BM_EvaluateBlocks/)",
+                       "--benchmark_min_time=0.1"],
+        "full_args": [],
+    },
     "bench_serve": {
         # Quick keeps the 20k-corpus rows at every shard count; full adds
         # the million-entity rows of the scaling claim.
