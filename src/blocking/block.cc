@@ -127,65 +127,38 @@ void BlockCollection::VisitDistinctPairs(
   }
 }
 
-std::vector<size_t> BlockCollection::RangePairCounts(
-    const std::vector<std::vector<uint32_t>>& entity_blocks,
-    const std::vector<size_t>& bounds) const {
-  std::vector<size_t> counts(bounds.size() - 1, 0);
-  core::Executor::Shared().ParallelChunks(
-      counts.size(), counts.size(), [&](size_t, size_t first, size_t last) {
-        for (size_t r = first; r < last; ++r) {
-          size_t count = 0;
-          VisitDistinctPairs(
-              entity_blocks, bounds[r], bounds[r + 1],
-              [&count](model::EntityId, model::EntityId) { ++count; });
-          counts[r] = count;
-        }
+BlockCollection::PairCounts BlockCollection::CountDistinctPairs(
+    const std::function<bool(model::EntityId, model::EntityId)>& accept)
+    const {
+  std::vector<std::vector<uint32_t>> entity_blocks = EntityToBlocks();
+  std::vector<size_t> bounds = BalancedRanges(core::EffectiveParallelism());
+  return core::Executor::Shared().ParallelReduce<PairCounts>(
+      bounds.size() - 1, PairCounts{},
+      [&](size_t r, PairCounts acc) {
+        VisitDistinctPairs(entity_blocks, bounds[r], bounds[r + 1],
+                           [&acc, &accept](model::EntityId a,
+                                           model::EntityId b) {
+                             ++acc.pairs;
+                             if (accept && accept(a, b)) ++acc.accepted;
+                           });
+        return acc;
+      },
+      [](PairCounts x, PairCounts y) {
+        return PairCounts{x.pairs + y.pairs, x.accepted + y.accepted};
       });
-  return counts;
 }
 
 uint64_t BlockCollection::CountDistinctPairs() const {
-  uint64_t total = 0;
-  for (size_t count :
-       RangePairCounts(EntityToBlocks(),
-                       BalancedRanges(core::EffectiveParallelism()))) {
-    total += count;
-  }
-  return total;
+  return CountDistinctPairs(nullptr).pairs;
 }
 
 std::vector<model::IdPair> BlockCollection::DistinctPairList(
     const std::vector<std::vector<uint32_t>>& entity_blocks) const {
   std::vector<model::IdPair> pairs;
-  std::vector<size_t> bounds = BalancedRanges(core::EffectiveParallelism());
-  if (bounds.size() <= 2) {  // One range: a single serial walk.
-    VisitDistinctPairs(entity_blocks, 0, blocks_.size(),
-                       [&pairs](model::EntityId a, model::EntityId b) {
-                         pairs.push_back(model::IdPair::Of(a, b));
-                       });
-    return pairs;
-  }
-  // Count, then fill: the list is allocated once, at its exact size, by
-  // the calling thread. Buffers grown on pool threads would stay in those
-  // threads' malloc arenas once freed and raise the process peak.
-  std::vector<size_t> offsets = RangePairCounts(entity_blocks, bounds);
-  size_t total = 0;
-  for (size_t& offset : offsets) {
-    size_t count = offset;
-    offset = total;
-    total += count;
-  }
-  pairs.resize(total);
-  core::Executor::Shared().ParallelChunks(
-      offsets.size(), offsets.size(), [&](size_t, size_t first, size_t last) {
-        for (size_t r = first; r < last; ++r) {
-          model::IdPair* out = pairs.data() + offsets[r];
-          VisitDistinctPairs(entity_blocks, bounds[r], bounds[r + 1],
-                             [&out](model::EntityId a, model::EntityId b) {
-                               *out++ = model::IdPair::Of(a, b);
-                             });
-        }
-      });
+  VisitDistinctPairs(entity_blocks, 0, blocks_.size(),
+                     [&pairs](model::EntityId a, model::EntityId b) {
+                       pairs.push_back(model::IdPair::Of(a, b));
+                     });
   return pairs;
 }
 

@@ -81,15 +81,28 @@ class BlockCollection {
       const std::function<void(model::EntityId, model::EntityId)>& visitor)
       const;
 
-  /// Number of distinct comparable pairs, counted over BalancedRanges()
-  /// on the shared executor without materialising them.
+  /// Counts from one distinct-pair walk: every distinct comparable pair,
+  /// and those among them that a predicate accepted.
+  struct PairCounts {
+    uint64_t pairs = 0;
+    uint64_t accepted = 0;
+  };
+
+  /// Counts the distinct comparable pairs and, when `accept` is set, those
+  /// for which it holds, without materialising them. BalancedRanges() are
+  /// walked on the shared executor against one index; integer sums do not
+  /// depend on how the ranges were cut, so the counts are identical for any
+  /// thread count. `accept` is called concurrently and must be thread-safe.
+  PairCounts CountDistinctPairs(
+      const std::function<bool(model::EntityId, model::EntityId)>& accept)
+      const;
+
+  /// Number of distinct comparable pairs: CountDistinctPairs(nullptr).pairs.
   uint64_t CountDistinctPairs() const;
 
   /// The distinct pairs in VisitDistinctPairs order, normalised with
-  /// IdPair::Of. BalancedRanges() are counted, then filled in place at
-  /// their offsets on the shared executor, so the list is identical for
-  /// any thread count and allocated once at its exact size.
-  /// `entity_blocks` must be this collection's EntityToBlocks().
+  /// IdPair::Of, from one serial walk. `entity_blocks` must be this
+  /// collection's EntityToBlocks().
   std::vector<model::IdPair> DistinctPairList(
       const std::vector<std::vector<uint32_t>>& entity_blocks) const;
 
@@ -113,11 +126,6 @@ class BlockCollection {
  private:
   // Comparisons one block suggests; all pairs when no collection is set.
   uint64_t ComparisonsOf(const Block& block) const;
-  // Distinct pairs of each range [bounds[r], bounds[r+1]), counted on the
-  // shared executor.
-  std::vector<size_t> RangePairCounts(
-      const std::vector<std::vector<uint32_t>>& entity_blocks,
-      const std::vector<size_t>& bounds) const;
 
   std::vector<Block> blocks_;
   uint64_t keys_emitted_ = 0;

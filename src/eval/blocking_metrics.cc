@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "core/executor.h"
-
 namespace weber::eval {
 
 double BlockingQuality::PairCompleteness() const {
@@ -43,31 +41,12 @@ BlockingQuality EvaluateBlocks(const blocking::BlockCollection& blocks,
     quality.total_possible_comparisons =
         blocks.collection()->TotalComparisons();
   }
-  // Each block range counts the distinct pairs whose least common block
-  // it holds; integer sums do not depend on how the ranges were cut.
-  struct Counts {
-    uint64_t comparisons = 0;
-    uint64_t matches = 0;
-  };
-  std::vector<std::vector<uint32_t>> entity_blocks = blocks.EntityToBlocks();
-  std::vector<size_t> bounds =
-      blocks.BalancedRanges(core::EffectiveParallelism());
-  Counts counts = core::Executor::Shared().ParallelReduce<Counts>(
-      bounds.size() - 1, Counts{},
-      [&](size_t r, Counts acc) {
-        blocks.VisitDistinctPairs(
-            entity_blocks, bounds[r], bounds[r + 1],
-            [&acc, &truth](model::EntityId a, model::EntityId b) {
-              ++acc.comparisons;
-              if (truth.IsMatch(a, b)) ++acc.matches;
-            });
-        return acc;
-      },
-      [](Counts x, Counts y) {
-        return Counts{x.comparisons + y.comparisons, x.matches + y.matches};
+  blocking::BlockCollection::PairCounts counts = blocks.CountDistinctPairs(
+      [&truth](model::EntityId a, model::EntityId b) {
+        return truth.IsMatch(a, b);
       });
-  quality.comparisons = counts.comparisons;
-  quality.matches_covered = counts.matches;
+  quality.comparisons = counts.pairs;
+  quality.matches_covered = counts.accepted;
   return quality;
 }
 

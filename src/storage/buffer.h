@@ -53,7 +53,8 @@ class ByteWriter {
 /// Runs `encode(ByteWriter*)` twice: once into a Counter() for the exact
 /// size, then into a writer reserved to it. A large manifest then never
 /// passes through a doubling vector (up to twice its size, plus the copy
-/// on each growth). `encode` must write the same bytes both times.
+/// on each growth). `encode` must write the same bytes both times; work
+/// that writes none, such as sorting, belongs outside it.
 template <typename Encode>
 std::vector<uint8_t> EncodeExact(const Encode& encode) {
   ByteWriter counter = ByteWriter::Counter();

@@ -311,7 +311,25 @@ Status DecodeAnnex(std::span<const uint8_t> bytes,
 // ---------------------------------------------------------------------------
 
 struct SnapshotCodec::Impl {
+  using UriEntry = std::pair<std::string_view, model::EntityId>;
+
+  // The URI index by content, sorted by URI: its entries are history-
+  // dependent (first-wins on Append, conditional erase on Update/
+  // Tombstone), so rebuilding it from the live rows would not be bit-equal
+  // to the never-crashed process.
+  static std::vector<UriEntry> SortedUris(
+      const incremental::EntityStore& store) {
+    std::vector<UriEntry> uris;
+    uris.reserve(store.uri_index_.size());
+    for (const auto& [uri, id] : store.uri_index_) {
+      uris.emplace_back(uri, id);
+    }
+    std::sort(uris.begin(), uris.end());
+    return uris;
+  }
+
   static void EncodeStoreManifest(const incremental::EntityStore& store,
+                                  const std::vector<UriEntry>& uris,
                                   ByteWriter* out) {
     const model::EntityCollection& collection = store.collection_;
     out->PutU64(collection.size());
@@ -324,16 +342,6 @@ struct SnapshotCodec::Impl {
     out->PutRaw(store.alive_.data(), store.alive_.size());
     out->PutRaw(store.versions_.data(),
                 store.versions_.size() * sizeof(uint64_t));
-    // The URI index is serialized by content, sorted by URI: its entries
-    // are history-dependent (first-wins on Append, conditional erase on
-    // Update/Tombstone), so rebuilding it from the live rows would not be
-    // bit-equal to the never-crashed process.
-    std::vector<std::pair<std::string_view, model::EntityId>> uris;
-    uris.reserve(store.uri_index_.size());
-    for (const auto& [uri, id] : store.uri_index_) {
-      uris.emplace_back(uri, id);
-    }
-    std::sort(uris.begin(), uris.end());
     out->PutU64(uris.size());
     for (const auto& [uri, id] : uris) {
       out->PutU32(static_cast<uint32_t>(uri.size()));
@@ -501,19 +509,39 @@ struct SnapshotCodec::Impl {
     return Status::Ok();
   }
 
-  /// The token index verbatim — postings in token order with their
-  /// not-yet-compacted removed ids, purge marks, the removed set and the
-  /// lifetime counters — so a restored index evolves exactly as the
-  /// original would have.
-  static void EncodeTokenIndex(const incremental::IncrementalTokenIndex& index,
-                               ByteWriter* out) {
-    using Posting = incremental::IncrementalTokenIndex::Posting;
-    std::vector<std::pair<std::string_view, const Posting*>> postings;
+  using TokenPosting =
+      std::pair<std::string_view,
+                const incremental::IncrementalTokenIndex::Posting*>;
+
+  // Postings sorted by token, and the removed ids sorted: both live in
+  // hash containers whose iteration order is not part of the state.
+  static std::vector<TokenPosting> SortedPostings(
+      const incremental::IncrementalTokenIndex& index) {
+    std::vector<TokenPosting> postings;
     postings.reserve(index.postings_.size());
     for (const auto& [token, posting] : index.postings_) {
       postings.emplace_back(token, &posting);
     }
     std::sort(postings.begin(), postings.end());
+    return postings;
+  }
+
+  static std::vector<model::EntityId> SortedRemoved(
+      const incremental::IncrementalTokenIndex& index) {
+    std::vector<model::EntityId> removed(index.removed_.begin(),
+                                         index.removed_.end());
+    std::sort(removed.begin(), removed.end());
+    return removed;
+  }
+
+  /// The token index verbatim — postings in token order with their
+  /// not-yet-compacted removed ids, purge marks, the removed set and the
+  /// lifetime counters — so a restored index evolves exactly as the
+  /// original would have.
+  static void EncodeTokenIndex(const incremental::IncrementalTokenIndex& index,
+                               const std::vector<TokenPosting>& postings,
+                               const std::vector<model::EntityId>& removed,
+                               ByteWriter* out) {
     out->PutU64(postings.size());
     for (const auto& [token, posting] : postings) {
       out->PutU32(static_cast<uint32_t>(token.size()));
@@ -523,9 +551,6 @@ struct SnapshotCodec::Impl {
       out->PutRaw(posting->entities.data(),
                   posting->entities.size() * sizeof(model::EntityId));
     }
-    std::vector<model::EntityId> removed(index.removed_.begin(),
-                                         index.removed_.end());
-    std::sort(removed.begin(), removed.end());
     out->PutU64(removed.size());
     out->PutRaw(removed.data(), removed.size() * sizeof(model::EntityId));
     out->PutU64(index.stats_.updates);
@@ -618,8 +643,10 @@ void SnapshotCodec::Writer::AddBytes(uint32_t kind,
 
 void SnapshotCodec::Writer::AddStore(uint32_t tag,
                                      const incremental::EntityStore& store) {
+  // Sorted once, not in each of EncodeExact's two encoder runs.
+  std::vector<Impl::UriEntry> uris = Impl::SortedUris(store);
   AddBytes(Tagged(kStoreManifest, tag), EncodeExact([&](ByteWriter* out) {
-             Impl::EncodeStoreManifest(store, out);
+             Impl::EncodeStoreManifest(store, uris, out);
            }));
 }
 
@@ -676,8 +703,11 @@ void SnapshotCodec::Writer::AddSignatures(
 
 void SnapshotCodec::Writer::AddTokenIndex(
     uint32_t tag, const incremental::IncrementalTokenIndex& index) {
+  // Sorted once, not in each of EncodeExact's two encoder runs.
+  std::vector<Impl::TokenPosting> postings = Impl::SortedPostings(index);
+  std::vector<model::EntityId> removed = Impl::SortedRemoved(index);
   AddBytes(Tagged(kTokenIndex, tag), EncodeExact([&](ByteWriter* out) {
-             Impl::EncodeTokenIndex(index, out);
+             Impl::EncodeTokenIndex(index, postings, removed, out);
            }));
 }
 

@@ -5,6 +5,7 @@
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "eval/blocking_metrics.h"
+#include "tests/pair_reference.h"
 #include "tests/test_corpus.h"
 
 namespace weber::blocking {
@@ -177,9 +178,21 @@ TEST(ComparisonPropagationTest, CountMatchesDistinctPairs) {
   config.seed = 33;
   datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
   BlockCollection blocks = TokenBlocking().Build(corpus.collection);
-  EXPECT_EQ(blocks.CountDistinctPairs(), blocks.DistinctPairs().size());
+  std::vector<model::IdPair> reference =
+      ::weber::testing::HashSetPairSequence(blocks);
+  EXPECT_EQ(blocks.CountDistinctPairs(), reference.size());
   EXPECT_EQ(blocks.DistinctPairList(blocks.EntityToBlocks()).size(),
-            blocks.DistinctPairs().size());
+            reference.size());
+  auto even = [](model::EntityId a, model::EntityId b) {
+    return (a + b) % 2 == 0;
+  };
+  uint64_t even_pairs = 0;
+  for (const model::IdPair& pair : reference) {
+    if (even(pair.low, pair.high)) ++even_pairs;
+  }
+  BlockCollection::PairCounts counts = blocks.CountDistinctPairs(even);
+  EXPECT_EQ(counts.pairs, reference.size());
+  EXPECT_EQ(counts.accepted, even_pairs);
 }
 
 TEST(ComparisonPropagationTest, NoCommonBlocks) {
