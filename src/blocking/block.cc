@@ -131,7 +131,8 @@ BlockCollection::PairCounts BlockCollection::CountDistinctPairs(
     const std::function<bool(model::EntityId, model::EntityId)>& accept)
     const {
   std::vector<std::vector<uint32_t>> entity_blocks = EntityToBlocks();
-  std::vector<size_t> bounds = BalancedRanges(core::EffectiveParallelism());
+  std::vector<size_t> bounds =
+      BalancedRanges(entity_blocks, core::EffectiveParallelism());
   return core::Executor::Shared().ParallelReduce<PairCounts>(
       bounds.size() - 1, PairCounts{},
       [&](size_t r, PairCounts acc) {
@@ -162,14 +163,33 @@ std::vector<model::IdPair> BlockCollection::DistinctPairList(
   return pairs;
 }
 
-std::vector<size_t> BlockCollection::BalancedRanges(size_t parts) const {
+std::vector<size_t> BlockCollection::BalancedRanges(
+    const std::vector<std::vector<uint32_t>>& entity_blocks,
+    size_t parts) const {
   parts = std::max<size_t>(parts, 1);
-  uint64_t total = TotalComparisonsWithRedundancy();
+  // The walk's cost of block b: each of its pairs merges the two ids'
+  // block-list prefixes ahead of b. prefix[id] is that prefix length (the
+  // position VisitDistinctPairs finds with lower_bound), counted here by
+  // one scan in block order.
+  std::vector<uint32_t> prefix(entity_blocks.size(), 0);
+  std::vector<uint64_t> cost(blocks_.size());
+  uint64_t total = 0;
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const std::vector<model::EntityId>& ids = blocks_[b].entities;
+    uint64_t n = ids.size();
+    uint64_t prefixes = 0;
+    for (model::EntityId id : ids) {
+      WEBER_DCHECK_LT(id, prefix.size()) << "block entity outside the index";
+      prefixes += prefix[id]++;
+    }
+    cost[b] = n * (n - 1) / 2 + (n - 1) * prefixes;
+    total += cost[b];
+  }
   std::vector<size_t> bounds{0};
   uint64_t running = 0;
   for (size_t b = 0; b < blocks_.size(); ++b) {
-    running += ComparisonsOf(blocks_[b]);
-    // Close range k once the running sum reaches k/parts of the total.
+    running += cost[b];
+    // Close range k once the running cost reaches k/parts of the total.
     if (bounds.size() < parts && running * parts >= total * bounds.size()) {
       bounds.push_back(b + 1);
     }

@@ -107,10 +107,16 @@ class BlockCollection {
       const std::vector<std::vector<uint32_t>>& entity_blocks) const;
 
   /// Cuts [0, NumBlocks()) into at most `parts` contiguous, non-empty block
-  /// ranges of roughly equal suggested comparisons; pair counts grow
-  /// quadratically with block size, so equal block counts would not
-  /// balance. Returns the boundaries: range r is [bounds[r], bounds[r+1]).
-  std::vector<size_t> BalancedRanges(size_t parts) const;
+  /// ranges of roughly equal distinct-pair walk cost; `entity_blocks` must
+  /// be this collection's EntityToBlocks(). A block costs its pairs plus,
+  /// per pair, the two block-list prefixes the walk merges: pair counts
+  /// grow quadratically with block size, and later blocks' ids have longer
+  /// prefixes, so neither equal block counts nor equal comparison counts
+  /// would balance. Returns the boundaries: range r is
+  /// [bounds[r], bounds[r+1]).
+  std::vector<size_t> BalancedRanges(
+      const std::vector<std::vector<uint32_t>>& entity_blocks,
+      size_t parts) const;
 
   /// Builds the inverted index from entity id to the (ascending) list of
   /// block indices that contain it.

@@ -41,16 +41,24 @@ struct PruneOptions {
   bool reciprocal = false;
 };
 
-/// Applies the pruning scheme to the graph, using the block collection
-/// that produced it for the cardinality budgets of CEP/CNP. Returns the
-/// surviving edges (the meta-blocked candidate pairs), heaviest first.
-std::vector<WeightedEdge> Prune(const BlockingGraph& graph,
-                                const blocking::BlockCollection& blocks,
-                                PruningScheme scheme,
-                                const PruneOptions& options = {});
-
-/// End-to-end meta-blocking: build the graph under `weights`, prune under
-/// `pruning`, and return the surviving candidate pairs.
+/// Meta-blocking: weighs the blocking graph of `blocks` under `weights`,
+/// prunes it under `pruning`, and returns the surviving candidate pairs,
+/// heaviest first with ties broken by (low, high).
+///
+/// Node-centric passes over chunks of nodes do the work (see
+/// BlockingGraph); no edge list of the whole graph is built. WNP and CNP
+/// derive a per-node threshold in a first pass; WEP's global mean comes
+/// from one serial VisitEdges walk, which sums the weights in the order a
+/// materialised edge list would; CEP merges per-chunk top-K heaps. A final
+/// filter pass keeps an edge (v, u > v) that v or u (reciprocal: both)
+/// retains, counting the kept edges per chunk before filling one exact-size
+/// vector allocated on the calling thread; each chunk sorts its slice and
+/// the calling thread merges the sorted slices into the result. The result
+/// is identical for any thread count.
+///
+/// With a metrics registry attached, the call opens a "metablocking" span
+/// and publishes its time, node, pair and kept counts and working bytes
+/// under `weber.metablocking.*`.
 std::vector<model::IdPair> MetaBlock(const blocking::BlockCollection& blocks,
                                      WeightScheme weights,
                                      PruningScheme pruning,

@@ -215,8 +215,9 @@ TEST(ComparisonPropagationTest, BalancedRangesPartitionTheBlocks) {
   BlockCollection blocks = TokenBlocking().Build(corpus.collection);
   std::vector<model::IdPair> whole =
       PairsInRange(blocks, 0, blocks.NumBlocks());
+  std::vector<std::vector<uint32_t>> index = blocks.EntityToBlocks();
   for (size_t parts : {1, 2, 3, 8, 1000}) {
-    std::vector<size_t> bounds = blocks.BalancedRanges(parts);
+    std::vector<size_t> bounds = blocks.BalancedRanges(index, parts);
     ASSERT_GE(bounds.size(), 2u);
     EXPECT_LE(bounds.size() - 1, parts);
     EXPECT_EQ(bounds.front(), 0u);
@@ -230,8 +231,23 @@ TEST(ComparisonPropagationTest, BalancedRangesPartitionTheBlocks) {
     }
     EXPECT_EQ(joined, whole) << parts << " parts";
   }
-  EXPECT_EQ(BlockCollection(&corpus.collection).BalancedRanges(4),
+  BlockCollection empty(&corpus.collection);
+  EXPECT_EQ(empty.BalancedRanges(empty.EntityToBlocks(), 4),
             std::vector<size_t>{0});
+}
+
+// Blocks suggesting equal comparisons cost more the later they come: each
+// pair merges longer block-list prefixes. Four copies of one 3-id block
+// cost 3, 9, 15 and 21 (pairs + 2 x the ids' prefix lengths), so the
+// halfway cut falls after the third block, not the second.
+TEST(ComparisonPropagationTest, BalancedRangesWeighBlockListPrefixes) {
+  model::EntityCollection c = TinyDirty(nullptr);
+  BlockCollection blocks(&c);
+  for (const char* key : {"k1", "k2", "k3", "k4"}) {
+    blocks.AddBlock(Block{key, {0, 1, 2}});
+  }
+  EXPECT_EQ(blocks.BalancedRanges(blocks.EntityToBlocks(), 2),
+            (std::vector<size_t>{0, 3, 4}));
 }
 
 }  // namespace

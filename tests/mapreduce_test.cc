@@ -8,9 +8,7 @@
 #include "blocking/token_blocking.h"
 #include "datagen/corpus_generator.h"
 #include "mapreduce/engine.h"
-#include "mapreduce/parallel_meta_blocking.h"
 #include "mapreduce/parallel_token_blocking.h"
-#include "metablocking/pruning_schemes.h"
 #include "obs/metrics.h"
 
 namespace weber::mapreduce {
@@ -222,88 +220,6 @@ TEST(ParallelTokenBlockingTest, HonoursOptions) {
 // ---------------------------------------------------------------------------
 // Parallel meta-blocking
 // ---------------------------------------------------------------------------
-
-struct ParallelComboCase {
-  metablocking::WeightScheme weights;
-  metablocking::PruningScheme pruning;
-  bool reciprocal;
-  size_t workers;
-};
-
-class ParallelMetaBlockingCombos
-    : public ::testing::TestWithParam<ParallelComboCase> {};
-
-TEST_P(ParallelMetaBlockingCombos, MatchesSequentialPairs) {
-  datagen::CorpusConfig config;
-  config.num_entities = 120;
-  config.duplicate_fraction = 0.5;
-  config.seed = 83;
-  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
-  blocking::BlockCollection blocks =
-      blocking::TokenBlocking().Build(corpus.collection);
-
-  const ParallelComboCase& param = GetParam();
-  metablocking::PruneOptions options;
-  options.reciprocal = param.reciprocal;
-  std::vector<model::IdPair> sequential = metablocking::MetaBlock(
-      blocks, param.weights, param.pruning, options);
-  std::sort(sequential.begin(), sequential.end());
-
-  ParallelMetaBlockingStats stats;
-  std::vector<model::IdPair> parallel = ParallelMetaBlock(
-      blocks, param.weights, param.pruning, options, param.workers, &stats);
-
-  EXPECT_EQ(parallel, sequential);
-  EXPECT_GT(stats.index_job.distinct_keys, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Combos, ParallelMetaBlockingCombos,
-    ::testing::Values(
-        ParallelComboCase{metablocking::WeightScheme::kCbs,
-                          metablocking::PruningScheme::kWep, false, 4},
-        ParallelComboCase{metablocking::WeightScheme::kJs,
-                          metablocking::PruningScheme::kCep, false, 4},
-        ParallelComboCase{metablocking::WeightScheme::kEcbs,
-                          metablocking::PruningScheme::kWnp, false, 4},
-        ParallelComboCase{metablocking::WeightScheme::kEcbs,
-                          metablocking::PruningScheme::kWnp, true, 3},
-        ParallelComboCase{metablocking::WeightScheme::kArcs,
-                          metablocking::PruningScheme::kCnp, false, 2},
-        ParallelComboCase{metablocking::WeightScheme::kArcs,
-                          metablocking::PruningScheme::kCnp, true, 8},
-        ParallelComboCase{metablocking::WeightScheme::kEjs,
-                          metablocking::PruningScheme::kWnp, false, 4}),
-    [](const ::testing::TestParamInfo<ParallelComboCase>& info) {
-      return metablocking::ToString(info.param.weights) + "_" +
-             metablocking::ToString(info.param.pruning) +
-             (info.param.reciprocal ? "_recip" : "") + "_w" +
-             std::to_string(info.param.workers);
-    });
-
-TEST(ParallelMetaBlockingTest, SingleWorkerWorks) {
-  datagen::CorpusConfig config;
-  config.num_entities = 50;
-  config.seed = 84;
-  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
-  blocking::BlockCollection blocks =
-      blocking::TokenBlocking().Build(corpus.collection);
-  auto sequential = metablocking::MetaBlock(
-      blocks, metablocking::WeightScheme::kJs,
-      metablocking::PruningScheme::kWep);
-  std::sort(sequential.begin(), sequential.end());
-  auto parallel = ParallelMetaBlock(blocks, metablocking::WeightScheme::kJs,
-                                    metablocking::PruningScheme::kWep, {}, 1);
-  EXPECT_EQ(parallel, sequential);
-}
-
-TEST(ParallelMetaBlockingTest, EmptyBlocks) {
-  model::EntityCollection c;
-  blocking::BlockCollection blocks(&c);
-  auto pairs = ParallelMetaBlock(blocks, metablocking::WeightScheme::kCbs,
-                                 metablocking::PruningScheme::kWep, {}, 4);
-  EXPECT_TRUE(pairs.empty());
-}
 
 TEST(JobStatsObsTest, JobsPublishIntoAmbientRegistry) {
   obs::MetricsRegistry registry;

@@ -313,11 +313,17 @@ TEST(PipelineObsTest, RunReportsSpansAndCounters) {
   EXPECT_EQ(snap.counters.at("weber.metablocking.graph_edges"),
             snap.counters.at("weber.metablocking.kept_edges") +
                 snap.counters.at("weber.metablocking.pruned_edges"));
+  EXPECT_EQ(snap.histograms.at("weber.metablocking.seconds").count, 1u);
+  EXPECT_GT(snap.gauges.at("weber.metablocking.working_bytes"), 0.0);
 
   // Progressive scheduling counters.
   EXPECT_EQ(snap.counters.at("weber.progressive.comparisons"),
             result.comparisons);
   EXPECT_EQ(snap.counters.at("weber.matching.clusterings"), 1u);
+  // Meta-blocking opens its own span inside the scheduling phase.
+  const obs::SpanSnapshot* scheduling = FindChild(pipeline, "scheduling");
+  ASSERT_NE(scheduling, nullptr);
+  EXPECT_NE(FindChild(*scheduling, "metablocking"), nullptr);
 
   // Executor activity is flushed into the same registry at the end of the
   // run (the parallel hot paths dispatched real tasks for this corpus).

@@ -19,11 +19,11 @@
 #include "blocking/standard_blocking.h"
 #include "blocking/suffix_blocking.h"
 #include "blocking/token_blocking.h"
+#include "core/executor.h"
 #include "core/pipeline.h"
 #include "iterative/collective.h"
 #include "iterative/iterative_blocking.h"
 #include "iterative/rswoosh.h"
-#include "mapreduce/parallel_meta_blocking.h"
 #include "mapreduce/parallel_token_blocking.h"
 #include "matching/matcher.h"
 #include "metablocking/pruning_schemes.h"
@@ -236,17 +236,29 @@ TEST(RobustnessTest, MetaBlockingOnSingleBlock) {
   }
 }
 
+// More chunks asked for than there are nodes: the node passes cut at most
+// one chunk per node and return the serial result.
 TEST(RobustnessTest, ParallelMetaBlockingMoreWorkersThanNodes) {
-  model::EntityCollection c = ::weber::testing::TinyDirty(nullptr);
+  model::EntityCollection c;
+  for (const char* name : {"alice smith", "alice smyth", "bob smith"}) {
+    model::EntityDescription d(std::string("http://kb/") + name, "person");
+    d.AddPair("name", name);
+    c.Add(d);
+  }
   blocking::BlockCollection blocks = blocking::TokenBlocking().Build(c);
-  auto sequential = metablocking::MetaBlock(
-      blocks, metablocking::WeightScheme::kJs,
-      metablocking::PruningScheme::kWnp);
-  std::sort(sequential.begin(), sequential.end());
-  auto parallel = mapreduce::ParallelMetaBlock(
-      blocks, metablocking::WeightScheme::kJs,
-      metablocking::PruningScheme::kWnp, {}, /*workers=*/64);
-  EXPECT_EQ(parallel, sequential);
+  for (auto pruning : metablocking::kAllPruningSchemes) {
+    std::vector<model::IdPair> serial;
+    {
+      core::ScopedParallelism parallelism(1);
+      serial = metablocking::MetaBlock(
+          blocks, metablocking::WeightScheme::kJs, pruning);
+    }
+    core::ScopedParallelism parallelism(8);
+    auto parallel = metablocking::MetaBlock(
+        blocks, metablocking::WeightScheme::kJs, pruning);
+    EXPECT_FALSE(parallel.empty()) << metablocking::ToString(pruning);
+    EXPECT_EQ(parallel, serial) << metablocking::ToString(pruning);
+  }
 }
 
 TEST(RobustnessTest, SimjoinThresholdEdges) {
