@@ -48,6 +48,15 @@ int WalFrameTestOneInput(const uint8_t* data, size_t size) {
                    static_cast<uint64_t>(size))
         << "WAL Parse lost bytes: good=" << contents.good_size
         << " torn=" << contents.torn_bytes << " size=" << size;
+    // Payloads view the image the Contents owns, inside its good frames.
+    const uint8_t* begin = contents.bytes.data();
+    for (const storage::WriteAheadLog::Record& record : contents.records) {
+      WEBER_CHECK(record.payload.empty() ||
+                  (record.payload.data() >= begin &&
+                   record.payload.data() + record.payload.size() <=
+                       begin + contents.good_size))
+          << "WAL Parse returned a payload outside its image";
+    }
   } else {
     // Fail-closed: a rejected image surrenders no records.
     WEBER_CHECK(contents.records.empty())

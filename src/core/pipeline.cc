@@ -37,12 +37,22 @@ class PhaseScope {
   const char* previous_;
 };
 
-/// The store's collection, read back after an incremental run: a
-/// reference for the single-store resolver, a dense copy (ids preserved)
-/// for the sharded one.
-const model::EntityCollection& StoreCollection(
+/// Ids the resolver has issued, and a dense copy of its descriptions
+/// (tombstones included, ids preserved) for when they are not the run's
+/// input.
+size_t StoreSize(const incremental::IncrementalResolver& resolver) {
+  return resolver.store().size();
+}
+size_t StoreSize(const serve::ShardedResolver& resolver) {
+  return resolver.size();
+}
+model::EntityCollection StoreCollection(
     const incremental::IncrementalResolver& resolver) {
-  return resolver.store().collection();
+  model::EntityCollection collection;
+  for (model::EntityId id = 0; id < resolver.store().size(); ++id) {
+    collection.Add(resolver.store().at(id));
+  }
+  return collection;
 }
 model::EntityCollection StoreCollection(
     const serve::ShardedResolver& resolver) {
@@ -105,7 +115,14 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
     result.matching_seconds = timer.ElapsedSeconds();
     timer.Restart();
 
-    auto&& store = StoreCollection(resolver);
+    // The store holds exactly the input unless a data directory brought
+    // history: only then is a copy of the store worth decoding.
+    if (StoreSize(resolver) != collection.size()) {
+      result.store_collection = StoreCollection(resolver);
+    }
+    const model::EntityCollection& store =
+        result.store_collection.has_value() ? *result.store_collection
+                                            : collection;
 
     // ---- Blocking quality, from the delta index's exported blocks. ----
     {
@@ -130,9 +147,6 @@ PipelineResult RunIncrementalPipeline(const model::EntityCollection& collection,
     result.comparisons = resolver.comparisons();
     result.matches = resolver.matches();
     result.curve = std::move(curve);
-    if (store.size() != collection.size()) {
-      result.store_collection = std::forward<decltype(store)>(store);
-    }
 
     // ---- Durability: fold the run into its data directory. ----
     if (durable) {

@@ -5,6 +5,7 @@
 
 #include "core/executor.h"
 #include "obs/metrics.h"
+#include "util/check.h"
 #include "util/timer.h"
 
 namespace weber::incremental {
@@ -18,8 +19,11 @@ IncrementalResolver::IncrementalResolver(const matching::Matcher* matcher,
     signatures_.emplace(
         matching::SignatureStore(matching::OptionsFor(*matcher)));
     signatures_->SetDescriptionProvider(
-        [this](model::EntityId id) -> const model::EntityDescription* {
-          return store_.alive(id) ? &store_.at(id) : nullptr;
+        [this](model::EntityId id, model::EntityDescription* scratch)
+            -> const model::EntityDescription* {
+          if (!store_.alive(id)) return nullptr;
+          *scratch = store_.at(id);
+          return scratch;
         });
     // Bind the prepared counters to the configured registry (falls through
     // to the caller's ambient one when options_.metrics is null).
@@ -58,9 +62,12 @@ const std::vector<model::EntityId>& IncrementalResolver::MembersOf(
 }
 
 const model::EntityDescription& IncrementalResolver::RepOf(
-    model::EntityId root) {
+    model::EntityId root, model::EntityDescription* scratch) {
   auto members_it = members_.find(root);
-  if (members_it == members_.end()) return store_.at(root);
+  if (members_it == members_.end()) {
+    *scratch = store_.at(root);
+    return *scratch;
+  }
   auto cached = rep_cache_.find(root);
   if (cached != rep_cache_.end()) return *cached->second;
   // Merge in ascending id order: deterministic regardless of the merge
@@ -121,7 +128,10 @@ void IncrementalResolver::ScoreRoots(model::EntityId ra, model::EntityId rb,
     it->second = sizes;
   }
   ++comparisons_;
-  bool matched = matcher_.Matches(RepOf(ra), RepOf(rb));
+  model::EntityDescription scratch_a;
+  model::EntityDescription scratch_b;
+  bool matched =
+      matcher_.Matches(RepOf(ra, &scratch_a), RepOf(rb, &scratch_b));
   if (observer_) observer_(key, matched);
   if (matched) {
     matches_.push_back(key);
@@ -140,6 +150,7 @@ void IncrementalResolver::ResolveBatchPropagating(
   // sharing a token).
   std::vector<model::EntityId> requeue;
   std::vector<model::EntityId> probe;
+  model::EntityDescription scratch;
   for (const model::IdPair& pair : candidates) {
     model::EntityId ra = forest_.Find(pair.low);
     model::EntityId rb = forest_.Find(pair.high);
@@ -150,7 +161,7 @@ void IncrementalResolver::ResolveBatchPropagating(
       requeue.pop_back();
       ++requeues_;
       probe.clear();
-      token_index_.Query(RepOf(root), &probe);
+      token_index_.Query(RepOf(root, &scratch), &probe);
       for (model::EntityId other : probe) {
         if (!store_.alive(other)) continue;
         model::EntityId merged_root = forest_.Find(root);
@@ -167,24 +178,31 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
   util::Timer timer;
   EnsureForestFresh();
   uint64_t index_updates_before = token_index_.stats().updates;
-  std::vector<model::EntityId> ids;
-  ids.reserve(batch.size());
-  for (model::EntityDescription& description : batch) {
-    ids.push_back(store_.Append(std::move(description)));
+  // The batch is absorbed as it came in, under the ids Append is about to
+  // issue, so ingest never decodes a stored row.
+  std::vector<model::EntityId> ids(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ids[i] = static_cast<model::EntityId>(store_.size() + i);
   }
-  forest_.Grow(store_.size());
   if (signatures_.has_value()) {
-    for (model::EntityId id : ids) signatures_->Absorb(id, store_.at(id));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      signatures_->Absorb(ids[i], batch[i]);
+    }
   }
 
   // Delta blocking: absorb each new entity in id order; the index emits
   // only pairs that involve the entity being absorbed, so the list stays
   // free of repeats across batches by construction.
   std::vector<model::IdPair> candidates;
-  for (model::EntityId id : ids) {
-    token_index_.Absorb(id, store_.at(id), &candidates);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    token_index_.Absorb(ids[i], batch[i], &candidates);
   }
   candidates_ += candidates.size();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    model::EntityId id = store_.Append(batch[i]);
+    WEBER_CHECK_EQ(id, ids[i]) << "EntityStore issued an unexpected id";
+  }
+  forest_.Grow(store_.size());
 
   uint64_t comparisons_before = comparisons_;
   uint64_t merges_before = merges_;
@@ -244,6 +262,8 @@ std::vector<model::EntityId> IncrementalResolver::Ingest(
         .Set(static_cast<double>(store_.live_count()));
     registry->GetGauge("weber.incremental.index_tokens")
         .Set(static_cast<double>(index.tokens));
+    registry->GetGauge("weber.incremental.store_bytes")
+        .Set(static_cast<double>(store_.ByteSize()));
     if (signatures_.has_value()) {
       registry->GetGauge("weber.matching.signature.arena_bytes")
           .Set(static_cast<double>(signatures_->ArenaBytes()));

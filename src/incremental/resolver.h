@@ -143,9 +143,10 @@ class IncrementalResolver {
   void EnsureForestFresh();
   /// Live members of a root, ascending (singleton -> {root}).
   const std::vector<model::EntityId>& MembersOf(model::EntityId root);
-  /// Merged description of a root's cluster (cached; singleton -> the
-  /// stored description).
-  const model::EntityDescription& RepOf(model::EntityId root);
+  /// Merged description of a root's cluster (cached; a singleton's
+  /// stored description is decoded into `scratch`).
+  const model::EntityDescription& RepOf(model::EntityId root,
+                                        model::EntityDescription* scratch);
   /// Unions two distinct roots, merging member lists and invalidating
   /// representative caches. Returns the surviving root.
   model::EntityId MergeClusters(model::EntityId ra, model::EntityId rb);

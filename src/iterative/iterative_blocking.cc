@@ -62,8 +62,9 @@ IterativeBlockingResult IterativeBlocking(
     store.emplace(matching::SignatureStore::Build(
         *collection, matching::OptionsFor(matcher.matcher())));
     store->SetDescriptionProvider(
-        [collection, n,
-         &desc_of_sig](model::EntityId id) -> const model::EntityDescription* {
+        [collection, n, &desc_of_sig](model::EntityId id,
+                                      model::EntityDescription*)
+            -> const model::EntityDescription* {
           if (id < n) return &(*collection)[id];
           auto it = desc_of_sig.find(id);
           return it == desc_of_sig.end() ? nullptr : it->second;

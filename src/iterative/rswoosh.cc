@@ -39,8 +39,9 @@ SwooshResult RSwoosh(const model::EntityCollection& collection,
     store.emplace(matching::SignatureStore::Build(
         collection, matching::OptionsFor(matcher.matcher())));
     store->SetDescriptionProvider(
-        [&collection, &merged_of_sig](
-            model::EntityId id) -> const model::EntityDescription* {
+        [&collection, &merged_of_sig](model::EntityId id,
+                                      model::EntityDescription*)
+            -> const model::EntityDescription* {
           if (id < collection.size()) return &collection.descriptions()[id];
           auto it = merged_of_sig.find(id);
           return it == merged_of_sig.end() ? nullptr : it->second;

@@ -141,8 +141,10 @@ double StringFallback(const Matcher& twin, const PreparedCounters& counters,
                       const SignatureStore& sa, model::EntityId a,
                       const SignatureStore& sb, model::EntityId b) {
   Bump(counters.fallbacks);
-  const model::EntityDescription* desc_a = sa.description(a);
-  const model::EntityDescription* desc_b = sb.description(b);
+  model::EntityDescription scratch_a;
+  model::EntityDescription scratch_b;
+  const model::EntityDescription* desc_a = sa.description(a, &scratch_a);
+  const model::EntityDescription* desc_b = sb.description(b, &scratch_b);
   if (desc_a == nullptr || desc_b == nullptr) return 0.0;
   return twin.Similarity(*desc_a, *desc_b);
 }
@@ -541,8 +543,8 @@ SignatureStore SignatureStore::Build(const model::EntityCollection& collection,
                                      SignatureOptions options) {
   SignatureStore store(std::move(options));
   store.collection_ = &collection;
-  store.provider_ =
-      [&collection](model::EntityId id) -> const model::EntityDescription* {
+  store.provider_ = [&collection](model::EntityId id, model::EntityDescription*)
+      -> const model::EntityDescription* {
     // lint: allow(indexed-access) the ternary bounds-checks id itself
     return id < collection.size() ? &collection.descriptions()[id] : nullptr;
   };

@@ -205,17 +205,21 @@ class SignatureStore {
   size_t ArenaBytes() const;
   uint64_t released_bytes() const { return released_bytes_; }
 
-  /// Resolves an id to its description for string-path fallbacks. The
-  /// default provider (installed by Build) reads the source collection;
-  /// algorithms that mint merged slots install their own. The returned
-  /// pointer is only used for the duration of one similarity call.
-  using DescriptionProvider =
-      std::function<const model::EntityDescription*(model::EntityId)>;
+  /// Resolves an id to its description for string-path fallbacks: a
+  /// pointer to a description the provider holds, or `scratch` after
+  /// decoding one into it (an entity store keeps rows as records), or
+  /// null for an unknown id. The default provider (installed by Build)
+  /// reads the source collection; algorithms that mint merged slots
+  /// install their own. The returned pointer is only used for the
+  /// duration of one similarity call.
+  using DescriptionProvider = std::function<const model::EntityDescription*(
+      model::EntityId, model::EntityDescription* scratch)>;
   void SetDescriptionProvider(DescriptionProvider provider) {
     provider_ = std::move(provider);
   }
-  const model::EntityDescription* description(model::EntityId id) const {
-    return provider_ ? provider_(id) : nullptr;
+  const model::EntityDescription* description(
+      model::EntityId id, model::EntityDescription* scratch) const {
+    return provider_ ? provider_(id, scratch) : nullptr;
   }
 
   /// Publishes build/arena gauges and counters to the ambient registry

@@ -97,9 +97,11 @@ ShardedResolver::ShardedResolver(const matching::Matcher* matcher,
         // this shard's store. &shard stays valid: shards_ never resizes.
         Shard* owner = &shard;
         shard.signatures->SetDescriptionProvider(
-            [owner](model::EntityId row) -> const model::EntityDescription* {
-              return owner->store.alive(row) ? &owner->store.at(row)
-                                             : nullptr;
+            [owner](model::EntityId row, model::EntityDescription* scratch)
+                -> const model::EntityDescription* {
+              if (!owner->store.alive(row)) return nullptr;
+              *scratch = owner->store.at(row);
+              return scratch;
             });
       }
     }
@@ -260,16 +262,22 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
   }
 
   // Phase C — parallel per entity shard: append store rows, absorb the
-  // pre-built signatures, frame and append this shard's WAL record.
+  // pre-built signatures, frame and append this shard's WAL record, whose
+  // descriptions are the rows' records as the store holds them.
   const uint64_t batch_osn = osn_next_;
   auto absorb_entities = [&](size_t, size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       Shard& shard = shards_[s];
-      storage::ByteWriter entities_bytes;
-      uint32_t logged = 0;
+      const bool logging = log && durable_ && shard_entity_counts[s] > 0;
+      storage::ByteWriter payload;
+      if (logging) {
+        payload.PutU64(batch_osn);
+        payload.PutU64(participant_mask);
+        payload.PutU32(static_cast<uint32_t>(shard_entity_counts[s]));
+      }
       for (size_t i = 0; i < n; ++i) {
         if (entity_shard[i] != s) continue;
-        model::EntityId row = shard.store.Append(std::move(batch[i]));
+        model::EntityId row = shard.store.Append(batch[i]);
         row_of_[gids[i]] = static_cast<uint32_t>(row);
         if (prepared) {
           Prep& prep = preps[i];
@@ -296,19 +304,13 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
           }
           shard.signatures->AbsorbPrepared(row, std::move(signature));
         }
-        if (log && durable_) {
-          ++logged;
-          entities_bytes.PutU32(gids[i]);
-          storage::EncodeDescription(shard.store.at(row), &entities_bytes);
+        if (logging) {
+          std::span<const uint8_t> record = shard.store.record(row);
+          payload.PutU32(gids[i]);
+          payload.PutRaw(record.data(), record.size());
         }
       }
-      if (log && durable_ && logged > 0) {
-        storage::ByteWriter payload;
-        payload.PutU64(batch_osn);
-        payload.PutU64(participant_mask);
-        payload.PutU32(logged);
-        std::vector<uint8_t> body = entities_bytes.Take();
-        payload.PutRaw(body.data(), body.size());
+      if (logging) {
         storage::Status status =
             shard.wal.Append(kServeIngest, payload.Take());
         WEBER_CHECK(status.ok())
@@ -418,6 +420,8 @@ std::vector<model::EntityId> ShardedResolver::IngestLocked(
         .Set(static_cast<double>(live_count()));
     registry->GetGauge("weber.incremental.index_tokens")
         .Set(static_cast<double>(index.tokens));
+    registry->GetGauge("weber.incremental.store_bytes")
+        .Set(static_cast<double>(StoreBytes()));
     // WAL replay (log == false) re-applies history that was counted when
     // it was live; weber.storage.wal.replayed_records counts it instead.
     if (log) {
@@ -584,9 +588,15 @@ bool ShardedResolver::alive(model::EntityId id) const {
   return shards_[ShardOf(id, options_.shards)].store.alive(row_of_[id]);
 }
 
-const model::EntityDescription& ShardedResolver::DescriptionOf(
+model::EntityDescription ShardedResolver::DescriptionOf(
     model::EntityId id) const {
   return shards_[ShardOf(id, options_.shards)].store.at(row_of_[id]);
+}
+
+size_t ShardedResolver::StoreBytes() const {
+  size_t bytes = row_of_.capacity() * sizeof(uint32_t);
+  for (const Shard& shard : shards_) bytes += shard.store.ByteSize();
+  return bytes;
 }
 
 size_t ShardedResolver::live_count() const {
@@ -608,25 +618,27 @@ incremental::DeltaIndexStats ShardedResolver::IndexStats() const {
 }
 
 uint64_t ShardedResolver::StateDigest() const {
+  // One CRC chain over: the id count, then per id its liveness byte and,
+  // when alive, its description record; then the match count and the
+  // (low, high) pairs. The records are hashed in place in the stores.
   uint32_t crc = 0;
-  storage::ByteWriter writer;
-  writer.PutU64(row_of_.size());
+  auto chain = [&crc](const void* data, size_t size) {
+    crc = storage::Crc32c(data, size, crc);
+  };
+  const uint64_t rows = row_of_.size();
+  chain(&rows, sizeof(rows));
   for (model::EntityId id = 0; id < row_of_.size(); ++id) {
-    bool is_alive = alive(id);
-    writer.PutU8(is_alive ? 1 : 0);
-    if (is_alive) storage::EncodeDescription(DescriptionOf(id), &writer);
-    if (writer.size() >= 1 << 20) {
-      std::vector<uint8_t> chunk = writer.Take();
-      crc = storage::Crc32c(chunk.data(), chunk.size(), crc);
-    }
+    const incremental::EntityStore& store =
+        shards_[ShardOf(id, options_.shards)].store;
+    const uint8_t is_alive = store.alive(row_of_[id]) ? 1 : 0;
+    chain(&is_alive, 1);
+    if (is_alive == 0) continue;
+    std::span<const uint8_t> record = store.record(row_of_[id]);
+    chain(record.data(), record.size());
   }
-  writer.PutU64(matches_.size());
-  for (const model::IdPair& pair : matches_) {
-    writer.PutU32(pair.low);
-    writer.PutU32(pair.high);
-  }
-  std::vector<uint8_t> chunk = writer.Take();
-  crc = storage::Crc32c(chunk.data(), chunk.size(), crc);
+  const uint64_t match_count = matches_.size();
+  chain(&match_count, sizeof(match_count));
+  chain(matches_.data(), matches_.size() * sizeof(model::IdPair));
   return crc;
 }
 
@@ -653,7 +665,7 @@ blocking::BlockCollection ShardedResolver::IndexBlocks(
 model::EntityCollection ShardedResolver::CollectionSnapshot() const {
   model::EntityCollection collection;
   for (model::EntityId id = 0; id < row_of_.size(); ++id) {
-    collection.Add(model::EntityDescription(DescriptionOf(id)));
+    collection.Add(DescriptionOf(id));
   }
   return collection;
 }
@@ -978,23 +990,23 @@ storage::Status ShardedResolver::RecoverExisting() {
     if (!status.ok()) return status;
   }
 
-  // Decode every shard's wal-G. A shard may lack it only when the crash
-  // hit between the snapshot rename and its rotation — the snapshot then
-  // holds everything, and recovery starts the WAL afresh.
-  struct DecodedRecord {
+  // Validate every shard's wal-G without decoding a description. A shard
+  // may lack it only when the crash hit between the snapshot rename and
+  // its rotation — the snapshot then holds everything, and recovery starts
+  // the WAL afresh.
+  struct RecordHeader {
     uint64_t osn = 0;
     uint64_t mask = 0;
     uint8_t type = 0;
-    std::vector<std::pair<model::EntityId, model::EntityDescription>>
-        entities;
-    model::EntityId remove_id = 0;
+    // Ingest: the entity list after the count; remove: the gid.
+    std::span<const uint8_t> body;
+    uint32_t count = 0;
     uint64_t frame_bytes = 0;
   };
   struct ShardLog {
     bool present = false;
-    std::vector<DecodedRecord> records;
-    uint64_t good_size = 0;
-    uint64_t file_size = 0;
+    storage::WriteAheadLog::Contents contents;  // Owns what `body` views.
+    std::vector<RecordHeader> records;
     std::vector<uint64_t> stale;  // Older WAL generations.
   };
   std::vector<ShardLog> logs(options_.shards);
@@ -1017,7 +1029,7 @@ storage::Status ShardedResolver::RecoverExisting() {
       }
     }
     if (!log.present) continue;
-    storage::WriteAheadLog::Contents contents;
+    storage::WriteAheadLog::Contents& contents = log.contents;
     status = storage::WriteAheadLog::Read(WalPath(s, generation_), &contents);
     if (!status.ok()) return status;
     if (contents.good_size > 0 && contents.base_op != generation_) {
@@ -1026,44 +1038,41 @@ storage::Status ShardedResolver::RecoverExisting() {
                      " does not extend snapshot " +
                      std::to_string(generation_));
     }
-    log.good_size = contents.good_size;
-    log.file_size = contents.good_size + contents.torn_bytes;
     torn_tail_bytes_ += contents.torn_bytes;
-    uint64_t previous_osn = 0;
-    bool first = true;
     for (const storage::WriteAheadLog::Record& record : contents.records) {
-      DecodedRecord decoded;
-      decoded.type = record.type;
-      decoded.frame_bytes = 9 + record.payload.size();
+      RecordHeader header;
+      header.type = record.type;
+      header.frame_bytes = 9 + record.payload.size();
       storage::ByteReader reader(record.payload.data(),
                                  record.payload.size());
-      decoded.osn = reader.GetU64();
-      decoded.mask = reader.GetU64();
+      header.osn = reader.GetU64();
+      header.mask = reader.GetU64();
       if (record.type == kServeIngest) {
-        uint32_t count = reader.GetU32();
-        for (uint32_t i = 0; i < count && !reader.failed(); ++i) {
-          model::EntityId gid = reader.GetU32();
-          decoded.entities.emplace_back(
-              gid, storage::DecodeDescription(&reader));
-        }
-      } else if (record.type == kServeRemove) {
-        decoded.remove_id = reader.GetU32();
-      } else {
+        header.count = reader.GetU32();
+      } else if (record.type != kServeRemove) {
         return WalCorrupt("unknown serve WAL record type " +
                        std::to_string(record.type));
       }
-      if (reader.failed() || !reader.Exhausted()) {
+      const size_t body_begin = reader.offset();
+      if (record.type == kServeIngest) {
+        for (uint32_t i = 0; i < header.count && !reader.failed(); ++i) {
+          reader.GetU32();  // gid
+          storage::SkipDescription(&reader);
+        }
+      } else {
+        reader.GetU32();  // gid
+      }
+      if (!reader.Exhausted()) {
         return WalCorrupt("undecodable serve WAL record in shard " +
                        std::to_string(s));
       }
-      if ((decoded.mask & (uint64_t{1} << s)) == 0 ||
-          (!first && decoded.osn <= previous_osn)) {
+      header.body = record.payload.subspan(body_begin);
+      if ((header.mask & (uint64_t{1} << s)) == 0 ||
+          (!log.records.empty() && header.osn <= log.records.back().osn)) {
         return WalCorrupt("inconsistent osn sequence in shard " +
                        std::to_string(s));
       }
-      first = false;
-      previous_osn = decoded.osn;
-      log.records.push_back(std::move(decoded));
+      log.records.push_back(header);
     }
   }
 
@@ -1076,27 +1085,22 @@ storage::Status ShardedResolver::RecoverExisting() {
     uint64_t mask = 0;
     uint64_t seen = 0;
     uint8_t type = 0;
-    std::vector<std::pair<model::EntityId, model::EntityDescription>>
-        entities;
-    model::EntityId remove_id = 0;
+    std::vector<const RecordHeader*> records;
   };
   std::map<uint64_t, PendingOp> ops;
   for (size_t s = 0; s < options_.shards; ++s) {
-    for (DecodedRecord& record : logs[s].records) {
+    for (const RecordHeader& record : logs[s].records) {
       if (record.osn < generation_) continue;
       PendingOp& op = ops[record.osn];
       if (op.seen == 0) {
         op.mask = record.mask;
         op.type = record.type;
-        op.remove_id = record.remove_id;
       } else if (op.mask != record.mask || op.type != record.type) {
         return WalCorrupt("disagreeing records for osn " +
                        std::to_string(record.osn));
       }
       op.seen |= uint64_t{1} << s;
-      for (auto& entity : record.entities) {
-        op.entities.push_back(std::move(entity));
-      }
+      op.records.push_back(&record);
     }
   }
   uint64_t dropped_osn = 0;
@@ -1117,29 +1121,43 @@ storage::Status ShardedResolver::RecoverExisting() {
   }
 
   // Replay the complete suffix in osn order through the normal ingest
-  // path (logging suppressed), reassigning the identical gids.
+  // path (logging suppressed), reassigning the identical gids. Each op's
+  // descriptions are decoded only when its turn comes, so at most one
+  // batch is ever held as heap objects.
   for (auto& [osn, op] : ops) {
     if (have_dropped && osn == dropped_osn) break;
     replayed_records_ += static_cast<uint64_t>(std::popcount(op.mask));
     osn_next_ = osn;
-    if (op.type == kServeIngest) {
-      std::sort(op.entities.begin(), op.entities.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      auto next = static_cast<model::EntityId>(row_of_.size());
-      std::vector<model::EntityDescription> replay_batch;
-      replay_batch.reserve(op.entities.size());
-      for (size_t i = 0; i < op.entities.size(); ++i) {
-        if (op.entities[i].first !=
-            next + static_cast<model::EntityId>(i)) {
-          return WalCorrupt("non-contiguous gids at osn " + std::to_string(osn));
-        }
-        replay_batch.push_back(std::move(op.entities[i].second));
+    if (op.type == kServeRemove) {
+      storage::ByteReader reader(op.records.front()->body.data(),
+                                 op.records.front()->body.size());
+      if (!RemoveLocked(reader.GetU32(), /*log=*/false)) {
+        return WalCorrupt("replayed remove of dead id at osn " +
+                       std::to_string(osn));
       }
-      IngestLocked(std::move(replay_batch), /*log=*/false);
-    } else if (!RemoveLocked(op.remove_id, /*log=*/false)) {
-      return WalCorrupt("replayed remove of dead id at osn " +
-                     std::to_string(osn));
+      continue;
     }
+    std::vector<std::pair<model::EntityId, model::EntityDescription>>
+        entities;
+    for (const RecordHeader* record : op.records) {
+      storage::ByteReader reader(record->body.data(), record->body.size());
+      for (uint32_t i = 0; i < record->count; ++i) {
+        model::EntityId gid = reader.GetU32();
+        entities.emplace_back(gid, storage::DecodeDescription(&reader));
+      }
+    }
+    std::sort(entities.begin(), entities.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    auto next = static_cast<model::EntityId>(row_of_.size());
+    std::vector<model::EntityDescription> replay_batch;
+    replay_batch.reserve(entities.size());
+    for (size_t i = 0; i < entities.size(); ++i) {
+      if (entities[i].first != next + static_cast<model::EntityId>(i)) {
+        return WalCorrupt("non-contiguous gids at osn " + std::to_string(osn));
+      }
+      replay_batch.push_back(std::move(entities[i].second));
+    }
+    IngestLocked(std::move(replay_batch), /*log=*/false);
   }
 
   // Reopen the WALs for appending, truncating away both torn tails and
@@ -1148,7 +1166,7 @@ storage::Status ShardedResolver::RecoverExisting() {
   // afresh. Older generations are garbage once this one recovered.
   for (size_t s = 0; s < options_.shards; ++s) {
     ShardLog& log = logs[s];
-    uint64_t good = log.good_size;
+    uint64_t good = log.contents.good_size;
     if (have_dropped && !log.records.empty() &&
         log.records.back().osn == dropped_osn) {
       good -= log.records.back().frame_bytes;
@@ -1156,7 +1174,8 @@ storage::Status ShardedResolver::RecoverExisting() {
     }
     if (log.present && good > 0) {
       status = shards_[s].wal.OpenExisting(
-          WalPath(s, generation_), good, log.file_size, options_.fsync,
+          WalPath(s, generation_), good,
+          log.contents.good_size + log.contents.torn_bytes, options_.fsync,
           options_.batch_fsync_interval);
     } else {
       status = shards_[s].wal.Create(WalPath(s, generation_), generation_,

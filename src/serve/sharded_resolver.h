@@ -161,7 +161,8 @@ class ShardedResolver {
   size_t size() const { return row_of_.size(); }
   size_t live_count() const;
   bool alive(model::EntityId id) const;
-  const model::EntityDescription& DescriptionOf(model::EntityId id) const;
+  /// The description behind an issued id, decoded from its store row.
+  model::EntityDescription DescriptionOf(model::EntityId id) const;
 
   /// The entity shard owning a global id.
   static size_t ShardOf(model::EntityId id, size_t shards);
@@ -182,7 +183,7 @@ class ShardedResolver {
       const model::EntityCollection* collection) const;
 
   /// Dense copy of every issued description (tombstones included), ids
-  /// preserved — the sharded analogue of store().collection().
+  /// preserved.
   model::EntityCollection CollectionSnapshot() const;
 
   /// Folds the WALs into a snapshot generation G = osn(): writes
@@ -217,6 +218,9 @@ class ShardedResolver {
   };
 
   obs::MetricsRegistry* Registry() const;
+  /// Heap bytes of the shard stores plus the global row map — the
+  /// weber.incremental.store_bytes gauge.
+  size_t StoreBytes() const;
   std::vector<model::EntityId> IngestLocked(
       std::vector<model::EntityDescription> batch, bool log);
   bool RemoveLocked(model::EntityId id, bool log);

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.h"
+
 namespace weber::storage {
 
 /// Little-endian append-only byte sink for the snapshot manifest and WAL
@@ -22,6 +24,16 @@ class ByteWriter {
     return writer;
   }
 
+  /// A writer that fills caller-owned memory of exactly `capacity` bytes
+  /// (sized by a Counter() pass over the same encode) instead of a vector;
+  /// bytes() and Take() stay empty.
+  static ByteWriter Into(uint8_t* data, size_t capacity) {
+    ByteWriter writer;
+    writer.external_ = data;
+    writer.capacity_ = capacity;
+    return writer;
+  }
+
   void PutU8(uint8_t value) { PutRaw(&value, sizeof(value)); }
   void PutU32(uint32_t value) { PutRaw(&value, sizeof(value)); }
   void PutU64(uint64_t value) { PutRaw(&value, sizeof(value)); }
@@ -35,18 +47,29 @@ class ByteWriter {
       counted_ += size;
       return;
     }
+    if (external_ != nullptr) {
+      WEBER_CHECK_LE(size, capacity_ - counted_)
+          << "encode outgrew the memory its counting pass sized";
+      if (size != 0) std::memcpy(external_ + counted_, data, size);
+      counted_ += size;
+      return;
+    }
     const uint8_t* p = static_cast<const uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + size);
   }
 
   void Reserve(size_t size) { bytes_.reserve(size); }
-  size_t size() const { return count_only_ ? counted_ : bytes_.size(); }
+  size_t size() const {
+    return count_only_ || external_ != nullptr ? counted_ : bytes_.size();
+  }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;
   bool count_only_ = false;
+  uint8_t* external_ = nullptr;
+  size_t capacity_ = 0;
   size_t counted_ = 0;
 };
 
@@ -103,6 +126,14 @@ class ByteReader {
     offset_ += size;
     return value;
   }
+  /// Advances past `size` bytes without copying them.
+  void Skip(size_t size) {
+    if (failed_ || size > size_ - offset_) {
+      failed_ = true;
+      return;
+    }
+    offset_ += size;
+  }
   void GetRaw(void* out, size_t size) {
     if (size == 0) return;  // `out` may be an empty vector's null data().
     if (failed_ || size > size_ - offset_) {
@@ -118,6 +149,8 @@ class ByteReader {
   /// True when the reader consumed the range exactly, with no overruns.
   bool Exhausted() const { return !failed_ && offset_ == size_; }
   size_t remaining() const { return size_ - offset_; }
+  /// Bytes consumed so far.
+  size_t offset() const { return offset_; }
 
  private:
   const uint8_t* data_;

@@ -49,6 +49,22 @@ inline model::EntityDescription DecodeDescription(ByteReader* in) {
   return description;
 }
 
+/// Walks one EncodeDescription record without building it: the structural
+/// check of DecodeDescription (every length within range) at no
+/// allocation. Sets `in`'s failed flag on the first field that overruns.
+inline void SkipDescription(ByteReader* in) {
+  auto skip_string = [in] { in->Skip(in->GetU32()); };
+  skip_string();  // uri
+  skip_string();  // type
+  for (int list = 0; list < 2; ++list) {  // pairs, then relations
+    uint32_t count = in->GetU32();
+    for (uint32_t i = 0; i < count && !in->failed(); ++i) {
+      skip_string();
+      skip_string();
+    }
+  }
+}
+
 }  // namespace weber::storage
 
 #endif  // WEBER_STORAGE_ENTITY_CODEC_H_

@@ -328,17 +328,19 @@ struct SnapshotCodec::Impl {
     return uris;
   }
 
+  // The manifest's description table is the rows' records back to back,
+  // so it is written from the arena and restored by one validating walk
+  // plus one exact-size copy into a single arena chunk.
   static void EncodeStoreManifest(const incremental::EntityStore& store,
                                   const std::vector<UriEntry>& uris,
                                   ByteWriter* out) {
-    const model::EntityCollection& collection = store.collection_;
-    out->PutU64(collection.size());
-    for (size_t id = 0; id < collection.size(); ++id) {
-      EncodeDescription(collection.at(static_cast<model::EntityId>(id)),
-                        out);
+    out->PutU64(store.size());
+    for (const incremental::EntityStore::Row& row : store.rows_) {
+      out->PutRaw(row.data, row.size);
     }
-    out->PutU8(collection.setting() == model::ErSetting::kDirty ? 0 : 1);
-    out->PutU64(collection.split());
+    // Setting and split of the dirty collection the store once was.
+    out->PutU8(0);
+    out->PutU64(store.size());
     out->PutRaw(store.alive_.data(), store.alive_.size());
     out->PutRaw(store.versions_.data(),
                 store.versions_.size() * sizeof(uint64_t));
@@ -354,48 +356,64 @@ struct SnapshotCodec::Impl {
 
   static Status DecodeStoreManifest(const ParsedImage& image, uint32_t kind,
                                     incremental::EntityStore* store) {
+    using Row = incremental::EntityStore::Row;
     const SectionEntry* section = image.Find(kind);
     if (section == nullptr) return CorruptSection(kind, "section missing");
-    ByteReader in(image.SectionData(*section), section->size);
+    const uint8_t* data = image.SectionData(*section);
+    ByteReader in(data, section->size);
     uint64_t count = in.GetU64();
-    std::vector<model::EntityDescription> descriptions;
-    if (!in.failed() && count <= section->size) descriptions.reserve(count);
-    for (uint64_t i = 0; i < count && !in.failed(); ++i) {
-      descriptions.push_back(DecodeDescription(&in));
+    // Every record takes at least 16 bytes (four empty fields).
+    if (in.failed() || count > in.remaining() / 16) {
+      return CorruptSection(kind, "truncated description table");
     }
+    const size_t table_begin = in.offset();
+    std::vector<Row> rows(count);
+    for (uint64_t i = 0; i < count && !in.failed(); ++i) {
+      size_t begin = in.offset();
+      SkipDescription(&in);
+      if (in.offset() - begin > UINT32_MAX) {
+        return CorruptSection(kind, "description record over 4 GiB");
+      }
+      // Sizes only for now; the pointers follow the arena copy below.
+      rows[i] = Row{nullptr, static_cast<uint32_t>(in.offset() - begin)};
+    }
+    const size_t table_end = in.offset();
     uint8_t setting = in.GetU8();
-    uint64_t split = in.GetU64();
+    in.GetU64();  // Split: the store is dirty, so it equals count.
     if (in.failed()) {
       return CorruptSection(kind, "truncated description table");
     }
-    if (setting == 0) {
-      store->collection_ =
-          model::EntityCollection::Dirty(std::move(descriptions));
-    } else {
-      if (split > descriptions.size()) {
-        return CorruptSection(kind, "split past collection end");
+    if (setting != 0) return CorruptSection(kind, "store is not dirty");
+
+    *store = incremental::EntityStore();
+    if (table_end > table_begin) {
+      uint8_t* table = store->Allocate(table_end - table_begin);
+      std::memcpy(table, data + table_begin, table_end - table_begin);
+      for (Row& row : rows) {
+        row.data = table;
+        table += row.size;
       }
-      std::vector<model::EntityDescription> second(
-          std::make_move_iterator(descriptions.begin() +
-                                  static_cast<int64_t>(split)),
-          std::make_move_iterator(descriptions.end()));
-      descriptions.resize(split);
-      store->collection_ = model::EntityCollection::CleanClean(
-          std::move(descriptions), std::move(second));
     }
+    store->rows_ = std::move(rows);
     store->alive_.resize(count);
     in.GetRaw(store->alive_.data(), count);
     store->versions_.resize(count);
     in.GetRaw(store->versions_.data(), count * sizeof(uint64_t));
     uint64_t uri_count = in.GetU64();
-    store->uri_index_.clear();
-    if (!in.failed() && uri_count <= section->size) {
+    if (!in.failed() && uri_count <= count) {
       store->uri_index_.reserve(uri_count);
     }
     for (uint64_t i = 0; i < uri_count && !in.failed(); ++i) {
       std::string uri = in.GetString();
       uint32_t id = in.GetU32();
-      store->uri_index_.emplace(std::move(uri), id);
+      // An entry always names a live row by that row's own URI, whose
+      // bytes in the arena become the key.
+      if (in.failed() || id >= count ||
+          incremental::EntityStore::UriOf(store->rows_[id]) != uri) {
+        return CorruptSection(kind, "URI index entry names another row");
+      }
+      store->uri_index_.emplace(
+          incremental::EntityStore::UriOf(store->rows_[id]), id);
     }
     store->live_ = in.GetU64();
     store->updates_ = in.GetU64();

@@ -24,20 +24,10 @@ std::vector<uint8_t> EncodeHeader(uint64_t base_op) {
   return header;
 }
 
-}  // namespace
-
-Status WriteAheadLog::Read(const std::string& path, Contents* out) {
-  std::vector<uint8_t> bytes;
-  Status status = ReadFileBytes(path, &bytes);
-  if (!status.ok()) {
-    *out = Contents{};
-    return status;
-  }
-  return Parse(bytes, out);
-}
-
-Status WriteAheadLog::Parse(std::span<const uint8_t> bytes, Contents* out) {
-  *out = Contents{};
+/// Validates `out->bytes` and fills the rest of `out` with views into it.
+/// On error `out` may hold the records before the failure.
+Status ParseFrames(WriteAheadLog::Contents* out) {
+  std::span<const uint8_t> bytes = out->bytes;
   if (bytes.size() < kWalHeaderBytes) {
     // Crash between creating the WAL and syncing its header: no record
     // was ever acknowledged, so this is a clean empty log.
@@ -82,11 +72,10 @@ Status WriteAheadLog::Parse(std::span<const uint8_t> bytes, Contents* out) {
       } else if (Crc32c(bytes.data() + offset + 8, payload_len + 1) != crc) {
         torn = true;  // Bit rot or a torn-in-place final frame.
       } else {
-        Record record;
+        WriteAheadLog::Record record;
         record.type = bytes[offset + 8];
-        record.payload.assign(bytes.begin() + offset + 9,
-                              bytes.begin() + offset + frame);
-        out->records.push_back(std::move(record));
+        record.payload = bytes.subspan(offset + 9, payload_len);
+        out->records.push_back(record);
         offset += frame;
         out->good_size = offset;
         continue;
@@ -118,6 +107,28 @@ Status WriteAheadLog::Parse(std::span<const uint8_t> bytes, Contents* out) {
     }
   }
   return Status::Ok();
+}
+
+Status ParseImage(WriteAheadLog::Contents* out) {
+  Status status = ParseFrames(out);
+  // Fail closed: a rejected image surrenders no records.
+  if (!status.ok()) out->records.clear();
+  return status;
+}
+
+}  // namespace
+
+Status WriteAheadLog::Read(const std::string& path, Contents* out) {
+  *out = Contents{};
+  Status status = ReadFileBytes(path, &out->bytes);
+  if (!status.ok()) return status;
+  return ParseImage(out);
+}
+
+Status WriteAheadLog::Parse(std::span<const uint8_t> bytes, Contents* out) {
+  *out = Contents{};
+  out->bytes.assign(bytes.begin(), bytes.end());
+  return ParseImage(out);
 }
 
 Status WriteAheadLog::Create(const std::string& path, uint64_t base_op,

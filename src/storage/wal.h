@@ -39,30 +39,42 @@ class WriteAheadLog {
 
   struct Record {
     uint8_t type = 0;
-    std::vector<uint8_t> payload;
+    /// Views the owning Contents' buffer.
+    std::span<const uint8_t> payload;
   };
 
-  /// The decoded contents of a WAL file.
+  /// The validated contents of a WAL file: the file image and its records,
+  /// whose payloads view the image in place. Move-only, so the views
+  /// always point into the Contents that owns them.
   struct Contents {
+    Contents() = default;
+    Contents(Contents&&) = default;
+    Contents& operator=(Contents&&) = default;
+    Contents(const Contents&) = delete;
+    Contents& operator=(const Contents&) = delete;
+
     uint64_t base_op = 0;
     std::vector<Record> records;
     /// File size up to and including the last good frame.
     uint64_t good_size = 0;
     /// Bytes of torn tail past good_size (0 when the file is clean).
     uint64_t torn_bytes = 0;
+    /// The whole file image the records view.
+    std::vector<uint8_t> bytes;
   };
 
   /// Reads and validates the whole WAL. An empty file or one shorter than
   /// the header is a clean empty log (crash between WAL creation and its
   /// first sync); a torn final frame is reported via torn_bytes, interior
   /// corruption is kWalCorrupt. A missing file is an I/O error — callers
-  /// decide whether absence is legal (see DurableResolver recovery).
+  /// decide whether absence is legal (see DurableResolver recovery). On
+  /// any error `out` holds no records.
   static Status Read(const std::string& path, Contents* out);
 
-  /// Parses an in-memory WAL image with Read's exact semantics (Read is
-  /// ReadFileBytes + Parse). Byte-level entry point: this is the surface
-  /// the fuzz harness drives, so every validation path stays reachable
-  /// without touching a filesystem.
+  /// Parses a copy of an in-memory WAL image with Read's exact semantics
+  /// (Read is ReadFileBytes + the same parse). Byte-level entry point:
+  /// this is the surface the fuzz harness drives, so every validation path
+  /// stays reachable without touching a filesystem.
   static Status Parse(std::span<const uint8_t> bytes, Contents* out);
 
   WriteAheadLog() = default;

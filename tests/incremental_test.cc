@@ -6,6 +6,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "blocking/token_blocking.h"
@@ -117,6 +118,117 @@ TEST(EntityStoreTest, SnapshotHoldsLiveDescriptionsInIdOrder) {
   EXPECT_EQ(snapshot[0].uri(), "u/0");
   EXPECT_EQ(snapshot[1].uri(), "u/2");
   EXPECT_EQ(origin, (std::vector<model::EntityId>{0, 2}));
+}
+
+/// Descriptions the record encoding has to carry exactly: empty URI and
+/// type, no pairs, relations only, embedded NULs, a URI another row
+/// already holds, and a value larger than one arena chunk.
+std::vector<model::EntityDescription> EdgeDescriptions() {
+  std::vector<model::EntityDescription> edges;
+  edges.emplace_back();
+  edges.emplace_back("", "typed-only");
+  model::EntityDescription relations("u/relations");
+  relations.AddRelation("knows", "u/0");
+  relations.AddRelation("", "");
+  edges.push_back(relations);
+  model::EntityDescription nul(std::string("u/\0nul", 6),
+                               std::string("t\0", 2));
+  nul.AddPair(std::string("a\0", 2), std::string("\0\0v", 3));
+  edges.push_back(nul);
+  edges.push_back(Person("u/0", "shadow", "of the first row"));
+  model::EntityDescription huge("u/huge", "blob");
+  huge.AddPair("text", std::string(200000, 'x'));
+  huge.AddPair("after", "the oversized value");
+  edges.push_back(huge);
+  return edges;
+}
+
+// The store holds rows as encoded records; reading one back must give the
+// description that went in, under any mix of mutations, and the URI index
+// must keep its history-dependent rules: first Append wins, an Update
+// that renames takes the new URI over, and an Update or Tombstone only
+// drops an entry that points at its own row.
+TEST(EntityStoreTest, RecordsRoundTripUnderRandomMutations) {
+  datagen::CorpusConfig config;
+  config.num_entities = 150;
+  config.duplicate_fraction = 0.5;
+  config.seed = 23;
+  std::vector<model::EntityDescription> pool =
+      Descriptions(datagen::CorpusGenerator(config).GenerateDirty().collection);
+  const std::vector<model::EntityDescription> edges = EdgeDescriptions();
+  pool.insert(pool.end(), edges.begin(), edges.end());
+
+  {
+    // A record larger than a chunk gets a chunk of its own, sized to fit.
+    EntityStore store;
+    store.Append(edges.back());
+    EXPECT_GE(store.ByteSize(), store.record(0).size());
+    EXPECT_EQ(store.at(0), edges.back());
+  }
+
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    std::mt19937 rng(seed);
+    EntityStore store;
+    std::vector<model::EntityDescription> expected;
+    std::vector<bool> alive;
+    std::vector<uint64_t> versions;
+    std::unordered_map<std::string, model::EntityId> uris;
+    auto drop_uri = [&uris](const std::string& uri, model::EntityId id) {
+      auto it = uris.find(uri);
+      if (it != uris.end() && it->second == id) uris.erase(it);
+    };
+    auto append = [&](const model::EntityDescription& d) {
+      auto id = static_cast<model::EntityId>(expected.size());
+      EXPECT_EQ(store.Append(d), id);
+      if (!d.uri().empty()) uris.emplace(d.uri(), id);
+      expected.push_back(d);
+      alive.push_back(true);
+      versions.push_back(0);
+    };
+    for (const model::EntityDescription& edge : edges) append(edge);
+    for (int step = 0; step < 600; ++step) {
+      const model::EntityDescription& d = pool[rng() % pool.size()];
+      uint32_t op = rng() % 10;
+      if (op < 6) {
+        append(d);
+      } else if (op < 8) {
+        auto id = static_cast<model::EntityId>(rng() % (expected.size() + 1));
+        bool live = id < expected.size() && alive[id];
+        ASSERT_EQ(store.Update(id, d), live);
+        if (!live) continue;
+        if (expected[id].uri() != d.uri()) {
+          drop_uri(expected[id].uri(), id);
+          if (!d.uri().empty()) uris[d.uri()] = id;
+        }
+        expected[id] = d;
+        ++versions[id];
+      } else {
+        auto id = static_cast<model::EntityId>(rng() % expected.size());
+        ASSERT_EQ(store.Tombstone(id), static_cast<bool>(alive[id]));
+        if (!alive[id]) continue;
+        alive[id] = false;
+        drop_uri(expected[id].uri(), id);
+      }
+    }
+
+    ASSERT_EQ(store.size(), expected.size()) << "seed " << seed;
+    size_t live = 0;
+    for (model::EntityId id = 0; id < expected.size(); ++id) {
+      EXPECT_EQ(store.at(id), expected[id]) << "seed " << seed << " id " << id;
+      EXPECT_EQ(store.alive(id), alive[id]) << "seed " << seed << " id " << id;
+      EXPECT_EQ(store.version(id), versions[id]) << "seed " << seed;
+      live += alive[id] ? 1 : 0;
+    }
+    EXPECT_EQ(store.live_count(), live);
+    for (const model::EntityDescription& d : pool) {
+      auto it = uris.find(d.uri());
+      std::optional<model::EntityId> want;
+      if (it != uris.end()) want = it->second;
+      EXPECT_EQ(store.FindByUri(d.uri()), want)
+          << "seed " << seed << " uri " << d.uri();
+    }
+    EXPECT_EQ(store.FindByUri("u/never-stored"), std::nullopt);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +519,7 @@ TEST(IncrementalReplayTest, ShuffledStreamMatchesBatchPipeline) {
             shuffled.begin() + static_cast<int64_t>(end)));
       }
       std::set<std::vector<std::string>> streamed = CanonicalClusters(
-          resolver.Clusters(), resolver.store().collection());
+          resolver.Clusters(), resolver.store().Snapshot());
       EXPECT_EQ(streamed, expected)
           << "batch_size=" << batch_size << " threads=" << threads;
     }

@@ -19,7 +19,9 @@
 #include "matching/matcher.h"
 #include "obs/metrics.h"
 #include "serve/sharded_resolver.h"
+#include "storage/buffer.h"
 #include "storage/file_io.h"
+#include "storage/wal.h"
 #include "tests/storage_ops.h"
 
 namespace weber::serve {
@@ -296,6 +298,58 @@ TEST(ShardedRecoveryTest, TornTailRecordIsDropped) {
   size_t next = 0;
   ApplyUntilOsn(&reference, ops, recovered.osn(), &next);
   EXPECT_EQ(recovered.StateDigest(), reference.StateDigest());
+}
+
+// Replay decodes one osn at a time, so a record whose frame is sound but
+// whose descriptions do not decode must still fail the whole recovery,
+// however many valid records come before it.
+TEST(ShardedRecoveryTest, UndecodableRecordAfterValidOnesFailsClosed) {
+  TempDir dir;
+  matching::TokenJaccardMatcher matcher;
+  uint64_t osn = 0;
+  uint32_t next_gid = 0;
+  {
+    ShardedResolver durable(
+        &matcher,
+        DurableOptions(dir.path(), 1, storage::FsyncPolicy::kAlways));
+    ASSERT_TRUE(durable.recovery_status().ok());
+    for (const StorageOp& op : GenerateStorageOps(23, 12)) {
+      ApplyStorageOp(&durable, op);
+    }
+    osn = durable.osn();
+    next_gid = static_cast<uint32_t>(durable.size());
+  }
+  ASSERT_GT(osn, 0u);
+
+  // The next ingest record, CRC-framed like any other: osn, participant
+  // mask, one entity — whose URI claims more bytes than the record holds.
+  std::string wal = dir.path() + "/shard-00/wal-0";
+  struct stat st;
+  ASSERT_EQ(stat(wal.c_str(), &st), 0);
+  storage::ByteWriter payload;
+  payload.PutU64(osn);
+  payload.PutU64(1);
+  payload.PutU32(1);
+  payload.PutU32(next_gid);
+  payload.PutU32(100);
+  payload.PutRaw("u/x", 3);
+  storage::WriteAheadLog log;
+  ASSERT_TRUE(log.OpenExisting(wal, static_cast<uint64_t>(st.st_size),
+                               static_cast<uint64_t>(st.st_size),
+                               storage::FsyncPolicy::kAlways, 1)
+                  .ok());
+  constexpr uint8_t kServeIngest = 1;
+  ASSERT_TRUE(log.Append(kServeIngest, payload.Take()).ok());
+  log.Close();
+
+  ShardedResolver recovered(
+      &matcher, DurableOptions(dir.path(), 1, storage::FsyncPolicy::kOff));
+  EXPECT_EQ(recovered.recovery_status().code(),
+            storage::StorageErrc::kWalCorrupt)
+      << recovered.recovery_status().ToString();
+  EXPECT_NE(recovered.recovery_status().message().find("undecodable"),
+            std::string::npos)
+      << recovered.recovery_status().ToString();
 }
 
 TEST(ShardedRecoveryTest, ShardCountMismatchFailsClosed) {

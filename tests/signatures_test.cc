@@ -261,7 +261,7 @@ struct SplitStores {
     }
     for (size_t k = 0; k < 2; ++k) {
       stores[k].SetDescriptionProvider(
-          [&collection, k](model::EntityId row)
+          [&collection, k](model::EntityId row, model::EntityDescription*)
               -> const model::EntityDescription* {
             size_t id = size_t{row} * 2 + k;
             return id < collection.size() ? &collection[id] : nullptr;

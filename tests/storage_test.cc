@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "datagen/corpus_generator.h"
+#include "incremental/entity_store.h"
 #include "incremental/resolver.h"
 #include "matching/matcher.h"
 #include "matching/signatures.h"
@@ -141,6 +143,11 @@ std::vector<uint8_t> Payload(std::initializer_list<uint8_t> bytes) {
   return std::vector<uint8_t>(bytes);
 }
 
+/// A record's payload, copied out of the Contents it views.
+std::vector<uint8_t> PayloadOf(const WriteAheadLog::Record& record) {
+  return std::vector<uint8_t>(record.payload.begin(), record.payload.end());
+}
+
 TEST(WalTest, AppendReadRoundTrip) {
   TempDir dir;
   std::string path = dir.file("wal-0");
@@ -159,11 +166,22 @@ TEST(WalTest, AppendReadRoundTrip) {
   EXPECT_EQ(contents.torn_bytes, 0u);
   ASSERT_EQ(contents.records.size(), 3u);
   EXPECT_EQ(contents.records[0].type, WriteAheadLog::kIngestBatch);
-  EXPECT_EQ(contents.records[0].payload, Payload({1, 2, 3, 4}));
+  EXPECT_EQ(PayloadOf(contents.records[0]), Payload({1, 2, 3, 4}));
   EXPECT_EQ(contents.records[1].type, WriteAheadLog::kRemove);
-  EXPECT_EQ(contents.records[1].payload, Payload({9}));
+  EXPECT_EQ(PayloadOf(contents.records[1]), Payload({9}));
   EXPECT_TRUE(contents.records[2].payload.empty());
   EXPECT_EQ(contents.good_size, ReadAll(path).size());
+
+  // Payloads view the file image the Contents owns, and survive a move.
+  EXPECT_EQ(contents.bytes, ReadAll(path));
+  const uint8_t* image = contents.bytes.data();
+  WriteAheadLog::Contents moved = std::move(contents);
+  for (const WriteAheadLog::Record& record : moved.records) {
+    EXPECT_GE(record.payload.data(), image);
+    EXPECT_LE(record.payload.data() + record.payload.size(),
+              image + moved.bytes.size());
+  }
+  EXPECT_EQ(PayloadOf(moved.records[0]), Payload({1, 2, 3, 4}));
 }
 
 TEST(WalTest, FsyncPolicyControlsSyncCount) {
@@ -219,7 +237,7 @@ TEST(WalTest, TornTailIsTruncatedNotFatal) {
     ASSERT_TRUE(WriteAheadLog::Read(path, &contents).ok())
         << "cut " << cut << " bytes";
     ASSERT_EQ(contents.records.size(), 1u) << "cut " << cut << " bytes";
-    EXPECT_EQ(contents.records[0].payload,
+    EXPECT_EQ(PayloadOf(contents.records[0]),
               Payload({1, 2, 3, 4, 5, 6, 7, 8}));
     EXPECT_EQ(contents.torn_bytes, torn.size() - contents.good_size);
     EXPECT_GT(contents.torn_bytes, 0u);
@@ -269,6 +287,26 @@ TEST(WalTest, InteriorCorruptionFailsClosed) {
   Status status = WriteAheadLog::Read(path, &contents);
   EXPECT_EQ(status.code(), StorageErrc::kWalCorrupt);
   EXPECT_NE(status.message().find("records after it"), std::string::npos);
+}
+
+TEST(WalTest, RejectedImageSurrendersNoRecords) {
+  TempDir dir;
+  std::string path = dir.file("wal-0");
+  WriteAheadLog wal;
+  ASSERT_TRUE(wal.Create(path, 0, FsyncPolicy::kOff, 1).ok());
+  ASSERT_TRUE(wal.Append(WriteAheadLog::kRemove, Payload({1})).ok());
+  ASSERT_TRUE(wal.Append(WriteAheadLog::kRemove, Payload({2})).ok());
+  ASSERT_TRUE(wal.Append(WriteAheadLog::kRemove, Payload({3})).ok());
+  wal.Close();
+
+  // Corrupt the SECOND record: the first parsed cleanly before the
+  // failure, yet a rejected image must hand back none.
+  std::vector<uint8_t> corrupt = ReadAll(path);
+  corrupt[24 + 10 + 9] ^= 0x01;
+  WriteAheadLog::Contents contents;
+  EXPECT_EQ(WriteAheadLog::Parse(corrupt, &contents).code(),
+            StorageErrc::kWalCorrupt);
+  EXPECT_TRUE(contents.records.empty());
 }
 
 TEST(WalTest, HeaderFailureModesAreDistinct) {
@@ -349,6 +387,40 @@ TEST_F(SnapshotTest, RoundTripPreservesStateDigest) {
     EXPECT_EQ(SnapshotCodec::StateDigest(reader),
               SnapshotCodec::StateDigest(writer));
   }
+}
+
+// The store manifest is on disk in every snapshot, and its bytes feed the
+// state digest: a change in how the store holds its rows must not change
+// them. This image was recorded from a store of heap-object rows.
+TEST(StoreManifestTest, ImageIsPinned) {
+  datagen::CorpusConfig config;
+  config.num_entities = 40;
+  config.duplicate_fraction = 0.5;
+  config.seed = 17;
+  datagen::Corpus corpus = datagen::CorpusGenerator(config).GenerateDirty();
+  incremental::EntityStore store;
+  for (const model::EntityDescription& d : corpus.collection.descriptions()) {
+    store.Append(d);
+  }
+  model::EntityDescription edge(std::string("u/nul\0inside", 13), "");
+  edge.AddPair("name", std::string("a\0b", 3));
+  edge.AddRelation("knows", "u/0");
+  store.Append(edge);
+  store.Append(model::EntityDescription());
+  store.Append(model::EntityDescription("", "typed"));
+  model::EntityDescription renamed("u/renamed", "person");
+  renamed.AddPair("name", "renamed row");
+  ASSERT_TRUE(store.Update(3, renamed));
+  ASSERT_TRUE(store.Update(5, corpus.collection.at(5)));
+  ASSERT_TRUE(store.Tombstone(7));
+  ASSERT_TRUE(store.Tombstone(3));
+
+  SnapshotCodec::Writer writer;
+  writer.AddStore(0, store);
+  std::vector<uint8_t> image = writer.Encode(0x5eed, 42);
+  EXPECT_EQ(image.size(), 25035u);
+  EXPECT_EQ(Crc32c(image.data(), image.size()), 0x09e4f3f1u);
+  EXPECT_EQ(writer.Digest(), 0xc31e030eu);
 }
 
 TEST_F(SnapshotTest, LoadedResolverContinuesBitEqually) {
